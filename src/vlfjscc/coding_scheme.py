@@ -22,7 +22,6 @@ from .probability import (
     ChannelParams,
     DistortionMatrix,
     Pmf,
-    distortion,
     pairwise_distortion,
 )
 
@@ -76,11 +75,10 @@ def build_source_code(P_V: Pmf, d: DistortionMatrix, D: float,
 
 def source_encode(cb: SourceCodebook, v) -> int:
     """Smallest index whose reproduction is within D of v, else 1."""
-    v = tuple(int(s) for s in v)
-    for m in range(cb.M):
-        if distortion(cb.d, v, cb.reproductions[m]) <= cb.D:
-            return m + 1
-    return 1
+    v = np.asarray(v, dtype=np.int64)
+    if v.shape != (cb.N,):
+        raise ValueError("source word length does not match the codebook")
+    return int(source_encode_batch(cb, v[np.newaxis, :])[0])
 
 
 def source_decode(cb: SourceCodebook, index: int) -> tuple:
@@ -125,15 +123,57 @@ def build_channel_codebook(caid: Pmf, length: int, M: int,
     return ChannelCodebook(M=M, length=length, codewords=cw)
 
 
+def _tie_exact_log(W: ChannelMatrix, length: int) -> np.ndarray:
+    """log W with every finite entry rounded to a multiple of 2**-k.
+
+    k = 52 - ceil(log2(length * max|finite log W|)), so every partial sum
+    of up to ``length`` entries is an exact float64: a score does not
+    depend on summation order, and equal multisets of terms give
+    bit-equal scores.  A noiseless channel (all finite entries 0) needs
+    no rounding.
+    """
+    with np.errstate(divide="ignore"):
+        logw = np.log(W.matrix)
+    finite = np.isfinite(logw)
+    top = float(np.abs(logw[finite]).max())
+    if top > 0.0:
+        k = 52 - math.ceil(math.log2(length * top))
+        logw[finite] = np.ldexp(np.round(np.ldexp(logw[finite], k)), -k)
+    return logw
+
+
+def ml_decode_batch(codewords: np.ndarray, y: np.ndarray,
+                    W: ChannelMatrix) -> np.ndarray:
+    """Maximum-likelihood messages (1-based) for a batch of blocks.
+
+    ``codewords`` is (n, M, L), one codebook per block, and ``y`` is
+    (n, L).  Scores are summed in slabs of codewords to bound memory;
+    with tie-exact scores, ``argmax`` within a slab and the strict ``>``
+    across slabs send every exact tie to the smallest index.
+    """
+    n, M, L = codewords.shape
+    logw = _tie_exact_log(W, L)
+    rows = np.arange(n)
+    best = np.full(n, -np.inf)
+    decoded = np.ones(n, dtype=np.int64)
+    slab = max(1, (1 << 22) // max(1, n * L))
+    for lo in range(0, M, slab):
+        scores = logw[codewords[:, lo:lo + slab, :],
+                      y[:, np.newaxis, :]].sum(axis=2)
+        cand = scores.argmax(axis=1)
+        cand_score = scores[rows, cand]
+        better = cand_score > best
+        decoded[better] = cand[better] + lo + 1
+        best[better] = cand_score[better]
+    return decoded
+
+
 def ml_channel_decode(cb: ChannelCodebook, y, W: ChannelMatrix) -> int:
     """Maximum-likelihood message (1-based); ties go to the smallest index."""
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (cb.length,):
         raise ValueError("output word length does not match the codebook")
-    with np.errstate(divide="ignore"):
-        logw = np.log(W.matrix)
-    scores = logw[cb.codewords, y[np.newaxis, :]].sum(axis=1)
-    return int(np.argmax(scores)) + 1
+    return int(ml_decode_batch(cb.codewords[np.newaxis], y[np.newaxis], W)[0])
 
 
 @dataclass(frozen=True)
@@ -210,15 +250,7 @@ def control_decode(ctrl: ControlCode, y, W: ChannelMatrix) -> str:
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (ctrl.length,):
         raise ValueError("control block length mismatch")
-    llr = symbol_llr(W, int(ctrl.x_c[0]), int(ctrl.x_e[0]))
-    terms = llr[y]
-    pos = np.isposinf(terms).any()
-    neg = np.isneginf(terms).any()
-    if pos and not neg:
-        return "c"
-    if neg:
-        return "e"
-    return "c" if float(terms.sum()) >= ctrl.llr_threshold else "e"
+    return "c" if control_decode_batch(ctrl, y[np.newaxis], W)[0] else "e"
 
 
 def control_decode_batch(ctrl: ControlCode, y_batch: np.ndarray,

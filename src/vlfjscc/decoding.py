@@ -137,28 +137,29 @@ def posterior_update(prior: Posterior, enc: EncoderMap, step: int, history,
     return Posterior(prior.base, prior.length, w / total)
 
 
-def sequential_posterior(P_V: Pmf, enc: EncoderMap, yn,
-                         W: ChannelMatrix) -> Posterior:
-    """Posterior after observing the full output word yn (may be empty)."""
+def _posteriors(P_V: Pmf, enc: EncoderMap, yn, W: ChannelMatrix):
+    """Yield the prior, then the posterior after each output of yn."""
     post = Posterior.from_prior(P_V, enc.word_length)
+    yield post
     history: list[int] = []
     for step, y in enumerate(yn):
         post = posterior_update(post, enc, step, history, int(y), W)
         history.append(int(y))
+        yield post
+
+
+def sequential_posterior(P_V: Pmf, enc: EncoderMap, yn,
+                         W: ChannelMatrix) -> Posterior:
+    """Posterior after observing the full output word yn (may be empty)."""
+    for post in _posteriors(P_V, enc, yn, W):
+        pass
     return post
 
 
 def posterior_trajectory(P_V: Pmf, enc: EncoderMap, yn,
                          W: ChannelMatrix) -> list[Posterior]:
     """Posterior after each prefix of yn; entry 0 is the prior."""
-    post = Posterior.from_prior(P_V, enc.word_length)
-    out = [post]
-    history: list[int] = []
-    for step, y in enumerate(yn):
-        post = posterior_update(post, enc, step, history, int(y), W)
-        out.append(post)
-        history.append(int(y))
-    return out
+    return list(_posteriors(P_V, enc, yn, W))
 
 
 def _ball_masses(post: Posterior, d: DistortionMatrix, D: float) -> np.ndarray:

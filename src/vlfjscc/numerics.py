@@ -101,66 +101,43 @@ def capacity(W: ChannelMatrix, tol: float = 1e-9,
         best_val, Pmf(best_px))
 
 
-def _rd_inner(q: np.ndarray, dmat: np.ndarray, beta: float,
-              inner_tol: float = 1e-13, max_iter: int = 20_000):
-    """Alternating minimization at a fixed slope.
+def _alternating_min(q: np.ndarray, kernel: np.ndarray, tol: float,
+                     max_iter: int = 20_000):
+    """Blahut-style alternating minimization of I(q, P) over P ~ r * kernel.
 
-    Returns (test_channel, marginal, distortion, rate) for the minimizer of
-    I + beta * E[d].
+    Alternates P[v, :] proportional to r * kernel[v, :] with r = q @ P
+    until r moves by at most tol; only letters with q > 0 enter the loop.
+    A row of the returned channel with zero mass (possible only for a
+    letter with q = 0 under a 0/1 kernel) is uniform.  Returns
+    (test_channel, rate).
     """
-    nv = dmat.shape[0]
-    r = np.full(nv, 1.0 / nv)
-    expo = np.exp(-beta * (dmat - dmat.min(axis=1, keepdims=True)))
-    for _ in range(max_iter):
-        A = r[None, :] * expo
-        P = A / A.sum(axis=1, keepdims=True)
-        r_new = q @ P
-        if np.abs(r_new - r).max() <= inner_tol:
-            r = r_new
-            break
-        r = r_new
-    A = r[None, :] * expo
-    P = A / A.sum(axis=1, keepdims=True)
-    r = q @ P
-    dist = float((q[:, None] * P * dmat).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(P > 0, P / np.maximum(r[None, :], 1e-300), 1.0)
-        rate = float((q[:, None] * P * np.where(P > 0, np.log(ratio), 0.0)).sum())
-    return P, r, dist, max(rate, 0.0)
-
-
-def _min_distortion_rate(q: np.ndarray, dmat: np.ndarray):
-    """Rate at the minimum achievable distortion.
-
-    Minimizes I over channels supported on the per-letter distortion
-    minimizers (for a zero-diagonal measure and D = 0 this is the lossless
-    limit).
-    """
-    mask = dmat <= dmat.min(axis=1, keepdims=True) + 1e-15
     active = q > 0
-    if not np.all(mask[active].any(axis=1)):
-        raise ValueError("internal error: empty minimizer set in distortion row")
-    nv = dmat.shape[0]
+    q_act, k_act = q[active], kernel[active]
+    nv = kernel.shape[1]
     r = np.full(nv, 1.0 / nv)
-    for _ in range(20_000):
-        A = r[None, :] * mask
-        scale = A.sum(axis=1, keepdims=True)
-        scale[~active, :] = 1.0
-        P = np.where(active[:, None], A / scale, 1.0 / nv)
-        r_new = q @ P
-        if np.abs(r_new - r).max() <= 1e-14:
+    for _ in range(max_iter):
+        A = r[None, :] * k_act
+        r_new = q_act @ (A / A.sum(axis=1, keepdims=True))
+        if np.abs(r_new - r).max() <= tol:
             r = r_new
             break
         r = r_new
-    A = r[None, :] * mask
+    A = r[None, :] * kernel
     scale = A.sum(axis=1, keepdims=True)
-    scale[~active, :] = 1.0
-    P = np.where(active[:, None], A / scale, 1.0 / nv)
+    with np.errstate(invalid="ignore"):
+        P = np.where(scale > 0.0, A / scale, 1.0 / nv)
     r = q @ P
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(P > 0, P / np.maximum(r[None, :], 1e-300), 1.0)
         rate = float((q[:, None] * P * np.where(P > 0, np.log(ratio), 0.0)).sum())
-    return max(rate, 0.0), P
+    return P, max(rate, 0.0)
+
+
+def _rd_inner(q: np.ndarray, dmat: np.ndarray, beta: float):
+    """Minimizer of I + beta * E[d]: (test_channel, distortion, rate)."""
+    expo = np.exp(-beta * (dmat - dmat.min(axis=1, keepdims=True)))
+    P, rate = _alternating_min(q, expo, tol=1e-13)
+    return P, float((q[:, None] * P * dmat).sum()), rate
 
 
 def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
@@ -190,14 +167,18 @@ def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
         raise ValueError(f"distortion budget {D} below the minimum achievable {d_min}")
 
     if D <= 0.0 or D < d_min + 1e-15:
-        rate, P = _min_distortion_rate(q, dmat)
+        # Minimum achievable distortion: minimize I over channels supported
+        # on the per-letter distortion minimizers (for a zero-diagonal
+        # measure and D = 0 this is the lossless limit).
+        mask = dmat <= dmat.min(axis=1, keepdims=True) + 1e-15
+        P, rate = _alternating_min(q, mask.astype(np.float64), tol=1e-14)
         return RdPoint(D=D, R=rate, test_channel=P, lagrange_slope=-math.inf)
 
     # Bracket the slope: distortion at beta decreases toward d_min.
     beta_lo = 0.0
     beta_hi = 1.0
     for _ in range(200):
-        _, _, dist_hi, _ = _rd_inner(q, dmat, beta_hi)
+        _, dist_hi, _ = _rd_inner(q, dmat, beta_hi)
         if dist_hi <= D:
             break
         beta_lo = beta_hi
@@ -205,14 +186,14 @@ def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
     else:
         raise SolverConvergenceError("rate-distortion slope bracket failed", 0.0)
 
-    P_hi, _, dist_hi, rate_hi = _rd_inner(q, dmat, beta_hi)
+    P_hi, dist_hi, rate_hi = _rd_inner(q, dmat, beta_hi)
     best_lower = rate_hi + beta_hi * (dist_hi - D)
     upper, P_up, beta_up = rate_hi, P_hi, beta_hi
     for _ in range(300):
         if upper - best_lower <= tol:
             break
         beta_mid = 0.5 * (beta_lo + beta_hi)
-        P_m, _, dist_m, rate_m = _rd_inner(q, dmat, beta_mid)
+        P_m, dist_m, rate_m = _rd_inner(q, dmat, beta_mid)
         best_lower = max(best_lower, rate_m + beta_mid * (dist_m - D))
         if dist_m <= D:
             beta_hi = beta_mid

@@ -20,7 +20,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .coding_scheme import (
     ControlCode,
@@ -32,6 +32,7 @@ from .coding_scheme import (
     control_decode,
     control_decode_batch,
     ml_channel_decode,
+    ml_decode_batch,
     source_encode,
     source_encode_batch,
 )
@@ -99,22 +100,16 @@ class RngSpec:
 # Channel sampling
 # ----------------------------------------------------------------------
 
-def _cumulative_rows(W: ChannelMatrix) -> np.ndarray:
-    cum = W.matrix.cumsum(axis=1)
-    cum[:, -1] = 1.0
-    return cum
-
-
 def sample_channel(W: ChannelMatrix, x: int, rng: np.random.Generator) -> int:
     """One channel use: output ~ W(.|x)."""
-    cum = _cumulative_rows(W)[int(x)]
-    return int(np.searchsorted(cum, rng.random(), side="right"))
+    return int(sample_channel_batch(W, np.array([int(x)]), rng)[0])
 
 
 def sample_channel_batch(W: ChannelMatrix, x: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
     """Independent channel uses for an array of inputs (any shape)."""
-    cum = _cumulative_rows(W)
+    cum = W.matrix.cumsum(axis=1)
+    cum[:, -1] = 1.0
     u = rng.random(x.shape)
     return (cum[x] <= u[..., np.newaxis]).sum(axis=-1).astype(np.int64)
 
@@ -200,9 +195,9 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     """One session, block by block, with explicit codebooks throughout.
 
     This is the readable reference path: it draws a fresh message-phase
-    codebook every block, lets the decoder ML-decode, has the encoder
-    emulate that decode through the fed-back outputs (asserting exact
-    agreement), and stops at the first accepted control block.
+    codebook every block, ML-decodes the message (the encoder learns the
+    decision through the fed-back outputs), and stops at the first
+    accepted control block.
     """
     d = codes.source.d
     if source_word is None:
@@ -216,10 +211,6 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
         x_msg = codebook.codewords[msg - 1]
         y_msg = sample_channel_batch(W, x_msg, rng)
         decoded = ml_channel_decode(codebook, y_msg, W)
-        # Encoder emulation: recompute the decoder's decision from the
-        # fed-back outputs; these must agree exactly, never approximately.
-        emulated = ml_channel_decode(codebook, y_msg, W)
-        assert emulated == decoded
         vhat = codes.source.reproductions[decoded - 1]
         dist = distortion(d, v, vhat)
         send_c = dist <= codes.source.D
@@ -271,8 +262,6 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
     D = codes.source.D
     reps = codes.source.reproductions
     crossover = _binary_symmetric_crossover(W, codes.caid)
-    x0 = int(codes.control.x_c[0])
-    x0p = int(codes.control.x_e[0])
 
     v = sample_pmf_batch(model.P_V, (n_trials, cfg.N), rng)
     msg = source_encode_batch(codes.source, v)
@@ -284,9 +273,6 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
     blocks_total = 0
     e_blocks = 0
     c_excess_blocks = 0
-
-    with np.errstate(divide="ignore"):
-        logw = np.log(W.matrix)
 
     for block in range(1, session_cap + 1):
         n_act = len(alive)
@@ -309,32 +295,14 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
             x_true = np.take_along_axis(
                 cb, (act_msg - 1)[:, np.newaxis, np.newaxis], axis=1)[:, 0, :]
             y = sample_channel_batch(W, x_true, rng)
-            best = np.full(n_act, -np.inf)
-            decoded = np.zeros(n_act, dtype=np.int64)
-            slab = max(1, (1 << 22) // max(1, n_act * cfg.msg_len))
-            for lo in range(0, cfg.M, slab):
-                scores = logw[cb[:, lo:lo + slab, :],
-                              y[:, np.newaxis, :]].sum(axis=2)
-                cand = scores.argmax(axis=1)
-                cand_score = scores[np.arange(n_act), cand]
-                better = cand_score > best
-                decoded[better] = cand[better] + lo + 1
-                best[better] = cand_score[better]
+            decoded = ml_decode_batch(cb, y, W)
         vhat = reps[decoded - 1]
         dist = d.matrix[v[alive], vhat].mean(axis=1)
         send_c = dist <= D
 
-        if crossover is not None:
-            ctrl_flips = rng.random((n_act, cfg.ctrl_len)) < crossover
-            sent_bit = np.where(send_c, x0, x0p)[:, np.newaxis]
-            y_ctrl = sent_bit ^ ctrl_flips.astype(np.int64)
-        else:
-            sent = np.where(send_c[:, np.newaxis],
-                            np.broadcast_to(codes.control.x_c,
-                                            (n_act, cfg.ctrl_len)),
-                            np.broadcast_to(codes.control.x_e,
-                                            (n_act, cfg.ctrl_len)))
-            y_ctrl = sample_channel_batch(W, sent, rng)
+        sent = np.where(send_c[:, np.newaxis], codes.control.x_c,
+                        codes.control.x_e)
+        y_ctrl = sample_channel_batch(W, sent, rng)
         heard_c = control_decode_batch(codes.control, y_ctrl, W)
 
         blocks_total += n_act
@@ -509,7 +477,7 @@ def geometric_gof(block_counts: np.ndarray, prt_hat: float,
     stat = float(((obs - exp) ** 2 / exp).sum())
     df = len(obs) - 2
     return GofResult(statistic=stat, df=df,
-                     pvalue=float(stats.chi2.sf(stat, df)), bins=len(obs))
+                     pvalue=float(chdtrc(df, stat)), bins=len(obs))
 
 
 # ----------------------------------------------------------------------

@@ -242,6 +242,23 @@ def test_ml_decode_tie_goes_to_smallest_index():
     assert ml_channel_decode(cb, (0, 1), bsc(0.2)) == 1
 
 
+def test_ml_decode_exact_ties_go_to_lowest_index_at_scale():
+    # On a BSC the likelihood depends only on the mismatch count, so the
+    # ML message is the lowest index among the rows with fewest mismatches.
+    # With 1159 x 19 words many rows tie; a score summed in floating point
+    # in a row-dependent order would break some of those ties elsewhere.
+    rng = np.random.default_rng(0)
+    M, n = 1159, 19
+    words = rng.integers(0, 2, (M, n))
+    sent = words[rng.integers(0, M, 64)]
+    outputs = sent ^ (rng.random(sent.shape) < 0.1)
+    cb = ChannelCodebook(M=M, length=n, codewords=words)
+    for y in outputs:
+        mismatches = (words != y).sum(axis=1)
+        want = int(np.flatnonzero(mismatches == mismatches.min())[0]) + 1
+        assert ml_channel_decode(cb, y, bsc(0.1)) == want
+
+
 def test_ml_decode_length_mismatch():
     cb = ChannelCodebook(M=1, length=3, codewords=np.zeros((1, 3), dtype=int))
     with pytest.raises(ValueError):

@@ -6,11 +6,17 @@ renewal identities against their in-sample closed forms.
 """
 
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import binom, binomtest
+from scipy.stats import binom, binomtest, chi2
+
+import vlfjscc
 
 from vlfjscc import (
     ChannelMatrix,
@@ -307,18 +313,32 @@ def test_monte_carlo_rejects_zero_trials():
 
 
 def test_fast_and_general_paths_agree_in_law(monkeypatch):
+    # Three engines on one source codebook: the BSC shortcut, the general
+    # slab decoder, and run_session with explicit codebooks.
     model = bsc_model()
     cfg = model.derive_config(8, 0.08, 0.3)
     fast = monte_carlo(cfg, model, 4096, RngSpec(11))
+    codes = build_codes(model, cfg, RngSpec(11).generator("source-code"))
+    rng = RngSpec(11).generator("sessions")
+    records = [run_session(cfg, codes, model.W, model.P_V, rng)
+               for _ in range(4096)]
+    tau = np.array([rec.tau for rec in records], dtype=float)
+    blocks = tau / cfg.N
+    session = (float(np.mean([rec.excess for rec in records])),
+               float(tau.mean()),
+               1.959963984540054 * float(tau.std(ddof=1)) / math.sqrt(4096),
+               float((blocks - 1).sum() / blocks.sum()))
     import vlfjscc.simulation as sim
     monkeypatch.setattr(sim, "_binary_symmetric_crossover",
                         lambda W, caid: None)
     slow = monte_carlo(cfg, model, 4096, RngSpec(11))
     sigma_pd = math.sqrt(fast.pd_hat * (1 - fast.pd_hat) / 4096)
-    assert abs(fast.pd_hat - slow.pd_hat) <= 5 * sigma_pd * math.sqrt(2.0)
-    assert abs(fast.etau_hat - slow.etau_hat) <= \
-        2.5 * (fast.etau_ci + slow.etau_ci)
-    assert abs(fast.prt_hat - slow.prt_hat) <= 0.04
+    for pd_hat, etau_hat, etau_ci, prt_hat in (
+            (slow.pd_hat, slow.etau_hat, slow.etau_ci, slow.prt_hat), session):
+        assert abs(fast.pd_hat - pd_hat) <= 5 * sigma_pd * math.sqrt(2.0)
+        assert abs(fast.etau_hat - etau_hat) <= \
+            2.5 * (fast.etau_ci + etau_ci)
+        assert abs(fast.prt_hat - prt_hat) <= 0.04
 
 
 def test_binary_symmetric_crossover_detection():
@@ -390,6 +410,30 @@ def test_geometric_gof_degenerate_inputs():
     assert res.pvalue == 1.0 and res.bins < 3
     res = geometric_gof(np.array([0, 50, 25, 13, 12]), 0.0)
     assert res.pvalue == 1.0
+
+
+def test_geometric_gof_pvalue_is_chi_square_tail():
+    rng = np.random.default_rng(10)
+    for p in (0.3, 0.5, 0.8):
+        counts, prt_hat = _counts_and_prt(rng.geometric(p, size=5_000))
+        res = geometric_gof(counts, prt_hat)
+        assert res.pvalue == pytest.approx(chi2.sf(res.statistic, res.df),
+                                           rel=1e-12, abs=1e-300)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of the package's import time; the package
+    # needs only scipy.special.
+    package_root = str(Path(vlfjscc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vlfjscc; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------
