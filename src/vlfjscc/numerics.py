@@ -101,20 +101,27 @@ def capacity(W: ChannelMatrix, tol: float = 1e-9,
         best_val, Pmf(best_px))
 
 
+# Floor added to a warm-start output law.  A letter started at r ~ 1e-13
+# moves by less than the inner stopping tolerance and freezes there; from
+# 1e-6 its first step clears the tolerance unless its update factor is
+# within 1e-7 of 1.
+_WARM_FLOOR = 1e-6
+
+
 def _alternating_min(q: np.ndarray, kernel: np.ndarray, tol: float,
-                     max_iter: int = 20_000):
+                     r0: np.ndarray | None = None, max_iter: int = 20_000):
     """Blahut-style alternating minimization of I(q, P) over P ~ r * kernel.
 
-    Alternates P[v, :] proportional to r * kernel[v, :] with r = q @ P
-    until r moves by at most tol; only letters with q > 0 enter the loop.
-    A row of the returned channel with zero mass (possible only for a
-    letter with q = 0 under a 0/1 kernel) is uniform.  Returns
-    (test_channel, rate).
+    Alternates P[v, :] proportional to r * kernel[v, :] with r = q @ P,
+    from r0 (default uniform), until r moves by at most tol; only letters
+    with q > 0 enter the loop.  A row of the returned channel with zero
+    mass (possible only for a letter with q = 0 under a 0/1 kernel) is
+    uniform.  Returns (test_channel, rate).
     """
     active = q > 0
     q_act, k_act = q[active], kernel[active]
     nv = kernel.shape[1]
-    r = np.full(nv, 1.0 / nv)
+    r = np.full(nv, 1.0 / nv) if r0 is None else r0
     for _ in range(max_iter):
         A = r[None, :] * k_act
         r_new = q_act @ (A / A.sum(axis=1, keepdims=True))
@@ -133,10 +140,19 @@ def _alternating_min(q: np.ndarray, kernel: np.ndarray, tol: float,
     return P, max(rate, 0.0)
 
 
-def _rd_inner(q: np.ndarray, dmat: np.ndarray, beta: float):
-    """Minimizer of I + beta * E[d]: (test_channel, distortion, rate)."""
+def _rd_inner(q: np.ndarray, dmat: np.ndarray, beta: float,
+              warm: np.ndarray | None = None):
+    """Minimizer of I + beta * E[d]: (test_channel, distortion, rate).
+
+    With ``warm``, a test channel from a nearby slope, the loop starts
+    from its output law floored by _WARM_FLOOR instead of uniform.
+    """
+    r0 = None
+    if warm is not None:
+        r0 = q @ warm + _WARM_FLOOR
+        r0 /= r0.sum()
     expo = np.exp(-beta * (dmat - dmat.min(axis=1, keepdims=True)))
-    P, rate = _alternating_min(q, expo, tol=1e-13)
+    P, rate = _alternating_min(q, expo, tol=1e-13, r0=r0)
     return P, float((q[:, None] * P * dmat).sum()), rate
 
 
@@ -174,11 +190,13 @@ def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
         P, rate = _alternating_min(q, mask.astype(np.float64), tol=1e-14)
         return RdPoint(D=D, R=rate, test_channel=P, lagrange_slope=-math.inf)
 
-    # Bracket the slope: distortion at beta decreases toward d_min.
+    # Bracket the slope: distortion at beta decreases toward d_min.  Every
+    # inner solve after the first is warm-started from the previous one.
     beta_lo = 0.0
     beta_hi = 1.0
+    P_hi = None
     for _ in range(200):
-        _, dist_hi, _ = _rd_inner(q, dmat, beta_hi)
+        P_hi, dist_hi, rate_hi = _rd_inner(q, dmat, beta_hi, P_hi)
         if dist_hi <= D:
             break
         beta_lo = beta_hi
@@ -186,14 +204,14 @@ def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
     else:
         raise SolverConvergenceError("rate-distortion slope bracket failed", 0.0)
 
-    P_hi, dist_hi, rate_hi = _rd_inner(q, dmat, beta_hi)
     best_lower = rate_hi + beta_hi * (dist_hi - D)
     upper, P_up, beta_up = rate_hi, P_hi, beta_hi
+    P_m = P_hi
     for _ in range(300):
         if upper - best_lower <= tol:
             break
         beta_mid = 0.5 * (beta_lo + beta_hi)
-        P_m, dist_m, rate_m = _rd_inner(q, dmat, beta_mid)
+        P_m, dist_m, rate_m = _rd_inner(q, dmat, beta_mid, P_m)
         best_lower = max(best_lower, rate_m + beta_mid * (dist_m - D))
         if dist_m <= D:
             beta_hi = beta_mid

@@ -6,6 +6,17 @@ sessions at scale, estimates the excess-distortion probability, the
 expected stopping time, and per-block retransmission statistics, and
 fits empirical exponents with confidence intervals.
 
+Two engines share one law.  ``run_session`` is the readable reference:
+it draws an explicit M x L codebook every block and ML-decodes it.
+``monte_carlo`` draws each block's ML decision in law at a cost that does
+not grow with M, for every DMC: it draws only the true codeword and its
+channel output y.  Given y, the M - 1 competitor scores are i.i.d. with a
+finite-support law that depends on y only through its output type; the
+kernel builds that law once per type (exact tie-preserving sums), draws
+the best competitor score from F**(M-1), and the first competitor
+attaining it from a truncated geometric, so exact ties still go to the
+lowest index.
+
 Estimator conventions: prt_hat and pe_hat are pooled per-block
 frequencies over every transmitted block (retransmission rounds
 included).  With that reading, etau_hat*(1 - prt_hat) = N and
@@ -26,13 +37,13 @@ from .coding_scheme import (
     ControlCode,
     SchemeConfig,
     SourceCodebook,
+    _tie_exact_log,
     build_channel_codebook,
     build_control_code,
     build_source_code,
     control_decode,
     control_decode_batch,
     ml_channel_decode,
-    ml_decode_batch,
     source_encode,
     source_encode_batch,
 )
@@ -230,18 +241,106 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
 # Vectorized batch engine
 # ----------------------------------------------------------------------
 
-def _binary_symmetric_crossover(W: ChannelMatrix, caid: Pmf):
-    """Crossover probability if W is a binary symmetric channel with a
-    uniform capacity-achieving input, else None.  This enables an exact
-    distributional shortcut for message-phase decoding."""
-    if W.num_inputs != 2 or W.num_outputs != 2:
-        return None
-    m = W.matrix
-    if m[0, 0] != m[1, 1] or m[0, 1] != m[1, 0] or m[0, 0] <= m[0, 1]:
-        return None
-    if abs(caid.probs[0] - 0.5) > 1e-9:
-        return None
-    return float(m[0, 1])
+def _convolve(va: np.ndarray, pa: np.ndarray, vb: np.ndarray,
+              pb: np.ndarray):
+    """Law of the sum of two independent finite-support scores.
+
+    Equal sums are merged; with tie-exact terms every sum is exact, so
+    equal scores stay bit-equal.  -inf (a zero channel entry) absorbs.
+    """
+    vals, inv = np.unique((va[:, np.newaxis] + vb).ravel(),
+                          return_inverse=True)
+    return vals, np.bincount(inv.ravel(),
+                             weights=(pa[:, np.newaxis] * pb).ravel())
+
+
+class _MessagePhase:
+    """ML decisions of fresh random codebooks, drawn in law.
+
+    The method is in the module docstring.  Exact ties go to the lower
+    index, as in ``coding_scheme.ml_decode_batch``.  Score laws are
+    memoized by output type, so an instance serves one configuration
+    (one ``monte_carlo`` call).
+    """
+
+    def __init__(self, W: ChannelMatrix, caid: Pmf, L: int, M: int):
+        self.W, self.caid, self.L, self.M = W, caid, L, M
+        self.logw = _tie_exact_log(W, L)
+        live = caid.probs > 0
+        self._letters = [(self.logw[live, b], caid.probs[live])
+                         for b in range(W.num_outputs)]
+        # _powers[b][k]: law of a k-position score against output letter b,
+        # shared by every output type.
+        self._powers = [[(np.zeros(1), np.ones(1))]
+                        for _ in range(W.num_outputs)]
+        self._laws = {}
+
+    def _law(self, counts: tuple):
+        """(values, G, a) of one competitor's score for an output type.
+
+        Over the ascending support, G = (M - 1) log F(value) is the log
+        CDF of the best competitor, and a = log(1 - q), where q =
+        P(S = value) / F(value) is the chance that a competitor scoring
+        at most value scores exactly value.
+        """
+        if counts in self._laws:
+            return self._laws[counts]
+        vals, probs = np.zeros(1), np.ones(1)
+        for b, n_b in enumerate(counts):
+            powers = self._powers[b]
+            while len(powers) <= n_b:
+                powers.append(_convolve(*powers[-1], *self._letters[b]))
+            vals, probs = _convolve(vals, probs, *powers[n_b])
+        cum = np.cumsum(probs)
+        above = np.append(np.cumsum(probs[::-1])[-2::-1], 0.0)
+        with np.errstate(divide="ignore"):
+            log_f = np.where(cum < 0.5, np.log(cum),
+                             np.log1p(-np.minimum(above, 1.0)))
+        log_f = np.maximum.accumulate(log_f)
+        q = np.minimum(probs / np.exp(log_f), 1.0)
+        with np.errstate(divide="ignore"):
+            law = (vals, (self.M - 1) * log_f, np.log1p(-q))
+        self._laws[counts] = law
+        return law
+
+    def decide(self, msg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """ML-decoded messages (1-based) for sent messages ``msg``.
+
+        Draws x_true and y (len(msg) x L each), then two uniforms per
+        message: one for the best competitor score S*, drawn by inverting
+        F**(M-1), and one for the first competitor position attaining it,
+        which maps past the sent message.
+        """
+        n, M = len(msg), self.M
+        x_true = sample_pmf_batch(self.caid, (n, self.L), rng)
+        y = sample_channel_batch(self.W, x_true, rng)
+        if M == 1:
+            return msg.copy()
+        score = self.logw[x_true, y].sum(axis=1)
+        u = 1.0 - rng.random((n, 2))
+        counts = np.stack([(y == b).sum(axis=1)
+                           for b in range(self.W.num_outputs)], axis=1)
+        order = np.lexsort(counts.T)
+        by_type = counts[order]
+        changed = (by_type[1:] != by_type[:-1]).any(axis=1)
+        edges = np.flatnonzero(np.r_[True, changed, True])
+        best = np.empty(n)
+        a = np.empty(n)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            vals, G, a_t = self._law(tuple(int(c) for c in by_type[lo]))
+            rows = order[lo:hi]
+            j = np.searchsorted(G, np.log(u[rows, 0]))
+            best[rows] = vals[j]
+            a[rows] = a_t[j]
+        # First competitor position scoring S*: K with P(K <= k)
+        # proportional to 1 - (1 - q)**k on 1..M-1, by inversion.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pos = np.ceil(np.log1p(u[:, 1] * np.expm1((M - 1) * a)) / a)
+        pos = np.clip(np.nan_to_num(pos, nan=1.0), 1, M - 1).astype(np.int64)
+        rival = pos + (pos >= msg)
+        return np.where(score > best, msg,
+                        np.where(score == best, np.minimum(msg, rival),
+                                 rival))
 
 
 @dataclass
@@ -256,12 +355,12 @@ class _ChunkResult:
 
 def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
                     n_trials: int, rng: np.random.Generator,
-                    session_cap: int, trial_offset: int) -> _ChunkResult:
+                    session_cap: int, trial_offset: int,
+                    message_phase: _MessagePhase) -> _ChunkResult:
     W = model.W
     d = model.d
     D = codes.source.D
     reps = codes.source.reproductions
-    crossover = _binary_symmetric_crossover(W, codes.caid)
 
     v = sample_pmf_batch(model.P_V, (n_trials, cfg.N), rng)
     msg = source_encode_batch(codes.source, v)
@@ -278,24 +377,7 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
         n_act = len(alive)
         if n_act == 0:
             break
-        act_msg = msg[alive]
-        if crossover is not None:
-            # Exact shortcut: against a uniform binary codebook, each
-            # competitor's mismatch count with y is Binomial(len, 1/2),
-            # independent of the true row's Binomial(len, p) channel
-            # flips; ML decoding is first-smallest mismatch count.
-            flips = rng.binomial(cfg.msg_len, 0.5,
-                                 size=(n_act, cfg.M)).astype(np.int16)
-            true_flips = rng.binomial(cfg.msg_len, crossover,
-                                      size=n_act).astype(np.int16)
-            flips[np.arange(n_act), act_msg - 1] = true_flips
-            decoded = flips.argmin(axis=1).astype(np.int64) + 1
-        else:
-            cb = sample_pmf_batch(codes.caid, (n_act, cfg.M, cfg.msg_len), rng)
-            x_true = np.take_along_axis(
-                cb, (act_msg - 1)[:, np.newaxis, np.newaxis], axis=1)[:, 0, :]
-            y = sample_channel_batch(W, x_true, rng)
-            decoded = ml_decode_batch(cb, y, W)
+        decoded = message_phase.decide(msg[alive], rng)
         vhat = reps[decoded - 1]
         dist = d.matrix[v[alive], vhat].mean(axis=1)
         send_c = dist <= D
@@ -379,6 +461,7 @@ def monte_carlo(cfg: SchemeConfig, model: SystemModel, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     codes = build_codes(model, cfg, rng.generator("source-code"))
+    message_phase = _MessagePhase(model.W, codes.caid, cfg.msg_len, cfg.M)
     taus = []
     excesses = []
     blocks_total = 0
@@ -388,7 +471,7 @@ def monte_carlo(cfg: SchemeConfig, model: SystemModel, trials: int,
         n = min(CHUNK_TRIALS, trials - lo)
         res = _simulate_chunk(cfg, codes, model, n,
                               rng.generator("mc", chunk_index), session_cap,
-                              trial_offset=lo)
+                              trial_offset=lo, message_phase=message_phase)
         taus.append(res.tau)
         excesses.append(res.excess)
         blocks_total += res.blocks_total

@@ -2,14 +2,18 @@
 
 Control crossover rates are checked against exact binomial tail oracles;
 the Wilson interval against scipy's independent implementation; the
-renewal identities against their in-sample closed forms.
+renewal identities against their in-sample closed forms; the decisions of
+the Monte Carlo message-phase kernel against exact enumeration of tiny
+codes, and its sessions against run_session's explicit codebooks.
 """
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +47,7 @@ from vlfjscc import (
     wilson_interval,
 )
 from vlfjscc.simulation import (
-    _binary_symmetric_crossover,
+    _MessagePhase,
     _encode_label,
     sample_channel_batch,
     sample_pmf_batch,
@@ -312,45 +316,99 @@ def test_monte_carlo_rejects_zero_trials():
         monte_carlo(cfg, model, 0, RngSpec(0))
 
 
-def test_fast_and_general_paths_agree_in_law(monkeypatch):
-    # Three engines on one source codebook: the BSC shortcut, the general
-    # slab decoder, and run_session with explicit codebooks.
-    model = bsc_model()
-    cfg = model.derive_config(8, 0.08, 0.3)
-    fast = monte_carlo(cfg, model, 4096, RngSpec(11))
-    codes = build_codes(model, cfg, RngSpec(11).generator("source-code"))
-    rng = RngSpec(11).generator("sessions")
-    records = [run_session(cfg, codes, model.W, model.P_V, rng)
-               for _ in range(4096)]
-    tau = np.array([rec.tau for rec in records], dtype=float)
-    blocks = tau / cfg.N
-    session = (float(np.mean([rec.excess for rec in records])),
-               float(tau.mean()),
-               1.959963984540054 * float(tau.std(ddof=1)) / math.sqrt(4096),
-               float((blocks - 1).sum() / blocks.sum()))
-    import vlfjscc.simulation as sim
-    monkeypatch.setattr(sim, "_binary_symmetric_crossover",
-                        lambda W, caid: None)
-    slow = monte_carlo(cfg, model, 4096, RngSpec(11))
-    sigma_pd = math.sqrt(fast.pd_hat * (1 - fast.pd_hat) / 4096)
-    for pd_hat, etau_hat, etau_ci, prt_hat in (
-            (slow.pd_hat, slow.etau_hat, slow.etau_ci, slow.prt_hat), session):
-        assert abs(fast.pd_hat - pd_hat) <= 5 * sigma_pd * math.sqrt(2.0)
-        assert abs(fast.etau_hat - etau_hat) <= \
-            2.5 * (fast.etau_ci + etau_ci)
-        assert abs(fast.prt_hat - prt_hat) <= 0.04
+TERNARY = ChannelMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
 
 
-def test_binary_symmetric_crossover_detection():
-    uniform = Pmf([0.5, 0.5])
-    assert _binary_symmetric_crossover(bsc(0.1), uniform) == 0.1
-    assert _binary_symmetric_crossover(
-        ChannelMatrix([[0.8, 0.2], [0.3, 0.7]]), uniform) is None
-    assert _binary_symmetric_crossover(bsc(0.1), Pmf([0.4, 0.6])) is None
-    W3 = ChannelMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
-    assert _binary_symmetric_crossover(W3, Pmf([1, 1, 1])) is None
-    # A totally noisy binary channel never qualifies.
-    assert _binary_symmetric_crossover(bsc(0.5), uniform) is None
+def _two_sample_z(mean_a, var_a, n_a, mean_b, var_b, n_b):
+    return abs(mean_a - mean_b) / math.sqrt(var_a / n_a + var_b / n_b)
+
+
+def test_fast_and_general_paths_agree_in_law():
+    # The message-phase kernel of monte_carlo against run_session, which
+    # draws and ML-decodes explicit codebooks, on one source codebook.
+    n_mc, n_ref = 16384, 4096
+    for W in (bsc(0.1), ChannelMatrix([[0.95, 0.05], [0.15, 0.85]]),
+              TERNARY):
+        model = SystemModel.build(Pmf([0.5, 0.5]), W, hamming_distortion(2),
+                                  0.2)
+        cfg = model.derive_config(8, 0.08, 0.3)
+        fast = monte_carlo(cfg, model, n_mc, RngSpec(11))
+        codes = build_codes(model, cfg, RngSpec(11).generator("source-code"))
+        rng = RngSpec(11).generator("sessions")
+        records = [run_session(cfg, codes, model.W, model.P_V, rng)
+                   for _ in range(n_ref)]
+        blocks = np.array([rec.retransmissions + 1 for rec in records],
+                          dtype=float)
+        pd_ref = float(np.mean([rec.excess for rec in records]))
+        pooled = (pd_ref * n_ref + fast.pd_hat * n_mc) / (n_ref + n_mc)
+        var_pd = pooled * (1 - pooled)
+        assert _two_sample_z(pd_ref, var_pd, n_ref,
+                             fast.pd_hat, var_pd, n_mc) <= 5.0
+        counts = fast.block_counts
+        k = np.arange(len(counts))
+        mean_mc = float((k * counts).sum() / n_mc)
+        var_mc = float((counts * (k - mean_mc) ** 2).sum() / (n_mc - 1))
+        assert _two_sample_z(float(blocks.mean()), float(blocks.var(ddof=1)),
+                             n_ref, mean_mc, var_mc, n_mc) <= 5.0
+        # Sessions that stop after one block: message-decoding errors move
+        # this share most, since uncovered words dilute pd and mean blocks.
+        one_ref = float((blocks == 1).mean())
+        pooled = (one_ref * n_ref + counts[1]) / (n_ref + n_mc)
+        var_one = pooled * (1 - pooled)
+        assert _two_sample_z(one_ref, var_one, n_ref,
+                             counts[1] / n_mc, var_one, n_mc) <= 5.0
+        prt_ref = float((blocks - 1).sum() / blocks.sum())
+        assert abs(fast.prt_hat - prt_ref) <= 0.04
+
+
+def _exact_decoded_law(W: ChannelMatrix, caid, L: int, M: int, msg: int):
+    """Exact law of the ML message (ties to the lowest index) when message
+    ``msg`` is sent on a fresh i.i.d. codebook: every true codeword, output
+    and competitor codebook is enumerated, with exact rational likelihoods.
+    """
+    words = list(itertools.product(range(W.num_inputs), repeat=L))
+    p_word = np.array([math.prod(caid[x] for x in w) for w in words])
+    rivals = np.array(list(itertools.product(range(len(words)),
+                                             repeat=M - 1)),
+                      dtype=np.int64).reshape(len(words) ** (M - 1), M - 1)
+    p_rivals = p_word[rivals].prod(axis=1)
+    law = np.zeros(M)
+    for y in itertools.product(range(W.num_outputs), repeat=L):
+        lik = [math.prod(Fraction(W.matrix[x, b]) for x, b in zip(w, y))
+               for w in words]
+        level = {v: i for i, v in enumerate(sorted(set(lik)))}
+        rank = np.array([level[v] for v in lik])
+        for t in range(len(words)):
+            p_true = p_word[t] * float(lik[t])
+            if p_true == 0.0:
+                continue
+            table = np.insert(rank[rivals], msg - 1, rank[t], axis=1)
+            law += np.bincount(table.argmax(axis=1),
+                               weights=p_true * p_rivals, minlength=M)
+    return law
+
+
+@pytest.mark.parametrize("W, caid, L, M, msg", [
+    (bsc(0.1), [0.5, 0.5], 3, 4, 2),
+    (ChannelMatrix([[0.95, 0.05], [0.15, 0.85]]), [0.55, 0.45], 3, 4, 3),
+    (TERNARY, [1 / 3, 1 / 3, 1 / 3], 2, 3, 2),
+    (ChannelMatrix([[1.0, 0.0], [0.3, 0.7]]), [0.6, 0.4], 3, 4, 1),
+    (bsc(0.1), [0.5, 0.5], 3, 1, 1),
+], ids=["bsc-L3-M4", "asymmetric-L3-M4", "ternary-L2-M3", "zero-entry-L3-M4",
+        "M1"])
+def test_message_phase_kernel_matches_exact_ml_law(W, caid, L, M, msg):
+    exact = _exact_decoded_law(W, caid, L, M, msg)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+    n = 200_000
+    decoded = _MessagePhase(W, Pmf(caid), L, M).decide(
+        np.full(n, msg), np.random.default_rng(12))
+    freq = np.bincount(decoded - 1, minlength=M) / n
+    assert len(freq) == M
+    for f, p in zip(freq, exact):
+        if p < 1e-15 or p > 1.0 - 1e-15:
+            assert f == round(p)
+        else:
+            assert abs(f - p) <= 5.0 * math.sqrt(p * (1 - p) / n)
 
 
 # ----------------------------------------------------------------------
