@@ -542,11 +542,9 @@ def _resolve(cfg: ExperimentConfig, args) -> ExperimentConfig:
         value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
-    if "N" in updates and "N_list" not in updates:
-        updates.setdefault("N_list", None)
-        cfg = replace(cfg, N_list=None)
-    if "N_list" in updates and "N" not in updates:
-        cfg = replace(cfg, N=None)
+    # An override of N or N_list alone clears the other.
+    if ("N" in updates) != ("N_list" in updates):
+        cfg = replace(cfg, N=None, N_list=None)
     return replace(cfg, **updates)
 
 

@@ -53,6 +53,14 @@ class SourceCodebook:
         object.__setattr__(self, "reproductions", reps)
 
 
+def _message_count(N: int, R_D: float, epsilon: float) -> int:
+    """M = ceil(exp(N(R(D)+2*eps))), refused above MAX_MESSAGES."""
+    M = math.ceil(math.exp(N * (R_D + 2.0 * epsilon)))
+    if M > MAX_MESSAGES:
+        raise ValueError(f"message count {M} exceeds guard {MAX_MESSAGES}")
+    return M
+
+
 def build_source_code(P_V: Pmf, d: DistortionMatrix, D: float,
                       epsilon: float, N: int,
                       rng: np.random.Generator) -> SourceCodebook:
@@ -65,9 +73,7 @@ def build_source_code(P_V: Pmf, d: DistortionMatrix, D: float,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     point = rate_distortion(P_V, d, D)
-    M = math.ceil(math.exp(N * (point.R + 2.0 * epsilon)))
-    if M > MAX_MESSAGES:
-        raise ValueError(f"source codebook size {M} exceeds guard {MAX_MESSAGES}")
+    M = _message_count(N, point.R, epsilon)
     marginal = point.output_marginal(P_V)
     reps = rng.choice(len(marginal), size=(M, N), p=marginal.probs)
     return SourceCodebook(N=N, M=M, reproductions=reps, D=D, d=d)
@@ -178,41 +184,25 @@ def ml_channel_decode(cb: ChannelCodebook, y, W: ChannelMatrix) -> int:
 
 @dataclass(frozen=True)
 class ControlCode:
-    """Two repetition codewords and an LLR threshold.
+    """Two repetition codewords, their per-output LLR table and a threshold.
 
     x_c repeats the divergence-maximizing input x0, x_e its partner
-    x0prime.  The decoder accepts (decides c) when the summed LLR
-    ln(W(y|x0)/W(y|x0prime)) reaches llr_threshold.
+    x0prime, and llr[y] = ln(W(y|x0)/W(y|x0prime)) for the channel the
+    code was built for.  The decoder accepts (decides c) when the summed
+    LLR reaches llr_threshold.
     """
 
     length: int
     x_c: np.ndarray
     x_e: np.ndarray
     llr_threshold: float
+    llr: np.ndarray
 
     def __post_init__(self):
-        for name in ("x_c", "x_e"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
+        for name in ("x_c", "x_e", "llr"):
+            arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-
-def symbol_llr(W: ChannelMatrix, x0: int, x0_prime: int) -> np.ndarray:
-    """Per-output LLR ln(W(y|x0)/W(y|x0prime)); equal entries give 0."""
-    p = W.matrix[x0]
-    q = W.matrix[x0_prime]
-    llr = np.empty(W.num_outputs)
-    for i in range(W.num_outputs):
-        if p[i] == q[i]:
-            llr[i] = 0.0
-        elif q[i] == 0.0:
-            llr[i] = math.inf
-        elif p[i] == 0.0:
-            llr[i] = -math.inf
-        else:
-            llr[i] = math.log(p[i] / q[i])
-    return llr
 
 
 def build_control_code(params: ChannelParams, m: int,
@@ -242,22 +232,21 @@ def build_control_code(params: ChannelParams, m: int,
         threshold = 0.0
     x_c = np.full(m, params.x0, dtype=np.int64)
     x_e = np.full(m, params.x0_prime, dtype=np.int64)
-    return ControlCode(length=m, x_c=x_c, x_e=x_e, llr_threshold=threshold)
+    return ControlCode(length=m, x_c=x_c, x_e=x_e, llr_threshold=threshold,
+                       llr=params.llr)
 
 
-def control_decode(ctrl: ControlCode, y, W: ChannelMatrix) -> str:
+def control_decode(ctrl: ControlCode, y) -> str:
     """Threshold test on the control block: returns 'c' or 'e'."""
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (ctrl.length,):
         raise ValueError("control block length mismatch")
-    return "c" if control_decode_batch(ctrl, y[np.newaxis], W)[0] else "e"
+    return "c" if control_decode_batch(ctrl, y[np.newaxis])[0] else "e"
 
 
-def control_decode_batch(ctrl: ControlCode, y_batch: np.ndarray,
-                         W: ChannelMatrix) -> np.ndarray:
+def control_decode_batch(ctrl: ControlCode, y_batch: np.ndarray) -> np.ndarray:
     """Vectorized threshold test; True where the decision is c."""
-    llr = symbol_llr(W, int(ctrl.x_c[0]), int(ctrl.x_e[0]))
-    terms = llr[y_batch]
+    terms = ctrl.llr[y_batch]
     pos = np.isposinf(terms).any(axis=1)
     neg = np.isneginf(terms).any(axis=1)
     finite = np.where(np.isfinite(terms), terms, 0.0)
@@ -319,9 +308,7 @@ class SchemeConfig:
             raise ValueError("gamma*N rounds below one message symbol")
         if ctrl_len < 1:
             raise ValueError("no room left for the control phase")
-        M = math.ceil(math.exp(N * (R_D + 2.0 * epsilon)))
-        if M > MAX_MESSAGES:
-            raise ValueError(f"message count {M} exceeds guard {MAX_MESSAGES}")
+        M = _message_count(N, R_D, epsilon)
         return cls(N=N, epsilon=epsilon, gamma=gamma, delta_ctrl=delta_ctrl,
                    M=M, msg_len=msg_len, ctrl_len=ctrl_len, R_D=R_D, C=C,
                    master_seed=master_seed)

@@ -70,12 +70,12 @@ class Posterior:
 
 
 class EncoderMap:
-    """Causal encoding rule: (step, source word, output history) -> input.
+    """Causal encoding rule: (step, source words, output history) -> inputs.
 
-    An encoder is tied to words of one fixed length; it wraps a
-    deterministic function and must be total over every history it is
-    queried with.  Steps count from 0 and ``history`` is the tuple of
-    outputs seen so far.
+    One deterministic batch rule ``fn(step, words, history)`` maps an (n, N)
+    array of words of one fixed length N to their n inputs; it must be total
+    over every history it is queried with.  Steps count from 0 and
+    ``history`` is the tuple of outputs seen so far.
     """
 
     def __init__(self, fn, num_inputs: int, word_length: int):
@@ -84,19 +84,24 @@ class EncoderMap:
         self.word_length = int(word_length)
 
     def __call__(self, step: int, word, history) -> int:
-        word = tuple(int(v) for v in word)
-        if len(word) != self.word_length:
+        """Channel input for one word: the rule on a batch of one."""
+        return int(self.inputs_for_words(step, [word], history)[0])
+
+    def inputs_for_words(self, step: int, words: np.ndarray, history) -> np.ndarray:
+        """Channel input for every row of an (n, N) word array at one step."""
+        words = np.asarray(words)
+        if words.ndim != 2 or words.shape[1] != self.word_length:
             raise ValueError("word length does not match this encoder")
-        x = int(self._fn(step, word, tuple(history)))
-        if not 0 <= x < self.num_inputs:
-            raise ValueError(f"encoder produced input {x} outside the alphabet")
+        x = np.asarray(self._fn(step, words, tuple(history)), dtype=np.int64)
+        if np.any((x < 0) | (x >= self.num_inputs)):
+            raise ValueError("encoder produced an input outside the alphabet")
         return x
 
     @classmethod
     def letter_cycle(cls, num_inputs: int, word_length: int) -> "EncoderMap":
         """Send the word's letters in order, cycling past the end."""
-        def fn(step, word, history):
-            return word[step % len(word)]
+        def fn(step, words, history):
+            return words[:, step % word_length]
         return cls(fn, num_inputs, word_length)
 
     @classmethod
@@ -113,15 +118,10 @@ class EncoderMap:
             0, num_inputs,
             size=(step_period, base ** word_length, history_classes))
 
-        def fn(step, word, history):
-            h = sum(history) % history_classes
-            return int(table[step % step_period, word_index(word, base), h])
+        def fn(step, words, history):
+            return table[step % step_period, word_index(words, base),
+                         sum(history) % history_classes]
         return cls(fn, num_inputs, word_length)
-
-    def inputs_for_words(self, step: int, words: np.ndarray, history) -> np.ndarray:
-        """Channel input for every word row at one step (python loop)."""
-        hist = tuple(history)
-        return np.array([self(step, tuple(w), hist) for w in words], dtype=np.int64)
 
 
 def posterior_update(prior: Posterior, enc: EncoderMap, step: int, history,
@@ -173,6 +173,14 @@ def _ball_masses(post: Posterior, d: DistortionMatrix, D: float) -> np.ndarray:
     return masses
 
 
+def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
+    """Largest distortion-D ball mass and its center; lexicographic ties."""
+    masses = _ball_masses(post, d, D)
+    k = int(np.argmax(masses))
+    word = np.unravel_index(k, (post.base,) * post.length)
+    return float(masses[k]), tuple(int(v) for v in word)
+
+
 def min_tail_mass(post: Posterior, d: DistortionMatrix,
                   D: float) -> tuple[float, tuple]:
     """Smallest achievable conditional excess mass and its candidate word.
@@ -180,11 +188,8 @@ def min_tail_mass(post: Posterior, d: DistortionMatrix,
     Exact minimum over all candidates of the posterior mass outside the
     distortion-D ball; lexicographic tie-break.
     """
-    masses = _ball_masses(post, d, D)
-    k = int(np.argmax(masses))
-    words = enumerate_words(post.base, post.length)
-    value = 1.0 - float(masses[k])
-    return max(value, 0.0), tuple(int(v) for v in words[k])
+    mass, word = _best_ball(post, d, D)
+    return max(1.0 - mass, 0.0), word
 
 
 def distortion_map_decode(post: Posterior, d: DistortionMatrix,
@@ -194,9 +199,7 @@ def distortion_map_decode(post: Posterior, d: DistortionMatrix,
     Ties break to the lexicographically smallest word.  At D=0 with a
     zero-diagonal distortion this is plain MAP decoding.
     """
-    masses = _ball_masses(post, d, D)
-    words = enumerate_words(post.base, post.length)
-    return tuple(int(v) for v in words[int(np.argmax(masses))])
+    return _best_ball(post, d, D)[1]
 
 
 @dataclass(frozen=True)
@@ -229,8 +232,7 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
     if decoder is None:
         decoder = distortion_map_decode
 
-    words = [tuple(int(v) for v in row)
-             for row in enumerate_words(base, length)]
+    words = enumerate_words(base, length)
     prior = [float(np.prod([P_V.probs[v] for v in w])) for w in words]
     # Ball membership by direct distortion calls.
     outside = [[distortion(d, v, w) > D for w in words] for v in words]
@@ -241,13 +243,11 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
     checked = 0
     skipped = 0
     for yn in itertools.product(range(W.num_outputs), repeat=n):
-        joint = []
-        for w in words:
-            p = prior[word_index(w, base)]
-            for step in range(n):
-                x = enc(step, w, yn[:step])
-                p *= float(W.matrix[x, yn[step]])
-            joint.append(p)
+        joint = np.array(prior)
+        for step in range(n):
+            x = enc.inputs_for_words(step, words, yn[:step])
+            joint *= W.matrix[x, yn[step]]
+        joint = joint.tolist()
         evidence = sum(joint)
         checked += 1
         if evidence <= 0.0:

@@ -129,6 +129,7 @@ class ChannelParams:
     C: channel capacity, with caid the maximizing input distribution.
     (x0, x0_prime): lexicographically first ordered input pair achieving B.
     B_reverse: relative entropy of the pair in the opposite direction.
+    llr: read-only per-output LLR of the pair, for the control decoder.
     """
 
     B: float
@@ -138,6 +139,7 @@ class ChannelParams:
     x0: int
     x0_prime: int
     B_reverse: float
+    llr: np.ndarray
 
 
 def entropy(p: Pmf) -> float:
@@ -181,6 +183,13 @@ def mutual_information(px: Pmf, W: ChannelMatrix) -> float:
     return max(total, 0.0)
 
 
+def symbol_llr(W: ChannelMatrix, x0: int, x0_prime: int) -> np.ndarray:
+    """Per-output LLR ln(W(y|x0)/W(y|x0prime)); equal entries give 0."""
+    return np.array([0.0 if p == q else math.inf if q == 0.0
+                     else -math.inf if p == 0.0 else math.log(p / q)
+                     for p, q in zip(W.matrix[x0], W.matrix[x0_prime])])
+
+
 def channel_params(W: ChannelMatrix, capacity_tol: float = 1e-9) -> ChannelParams:
     """Compute the (B, lambda, C) triple plus the B-achieving input pair.
 
@@ -219,8 +228,10 @@ def channel_params(W: ChannelMatrix, capacity_tol: float = 1e-9) -> ChannelParam
         )
     if B < C - 1e-6:
         raise ValueError("internal inconsistency: B < C beyond solver tolerance")
-    return ChannelParams(B=B, lam=lam, C=C, caid=caid,
-                         x0=pair[0], x0_prime=pair[1], B_reverse=B_rev)
+    llr = symbol_llr(W, *pair)
+    llr.flags.writeable = False
+    return ChannelParams(B=B, lam=lam, C=C, caid=caid, x0=pair[0],
+                         x0_prime=pair[1], B_reverse=B_rev, llr=llr)
 
 
 def distortion(d: DistortionMatrix, v, vhat) -> float:
@@ -248,12 +259,15 @@ def enumerate_words(base: int, length: int) -> np.ndarray:
     return np.stack(cols, axis=1).astype(np.int8)
 
 
-def word_index(word, base: int) -> int:
-    """Lexicographic rank of a word (inverse of enumerate_words rows)."""
-    out = 0
-    for letter in word:
-        out = out * base + int(letter)
-    return out
+def word_index(word, base: int):
+    """Lexicographic rank of a word, or of each row of an (n, N) array."""
+    letters = np.asarray(word)
+    if base ** letters.shape[-1] > 2 ** 63:
+        raise ValueError("word ranks beyond int64")
+    out = np.zeros(letters.shape[:-1], dtype=np.int64)
+    for pos in range(letters.shape[-1]):
+        out = out * base + letters[..., pos]
+    return int(out) if out.ndim == 0 else out
 
 
 def pairwise_distortion(d: DistortionMatrix, words_a: np.ndarray,

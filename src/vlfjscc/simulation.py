@@ -227,7 +227,7 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
         send_c = dist <= codes.source.D
         x_ctrl = codes.control.x_c if send_c else codes.control.x_e
         y_ctrl = sample_channel_batch(W, x_ctrl, rng)
-        heard = control_decode(codes.control, y_ctrl, W)
+        heard = control_decode(codes.control, y_ctrl)
         history.append(heard)
         if heard == "c":
             return TrialRecord(tau=block * cfg.N, retransmissions=block - 1,
@@ -385,7 +385,7 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
         sent = np.where(send_c[:, np.newaxis], codes.control.x_c,
                         codes.control.x_e)
         y_ctrl = sample_channel_batch(W, sent, rng)
-        heard_c = control_decode_batch(codes.control, y_ctrl, W)
+        heard_c = control_decode_batch(codes.control, y_ctrl)
 
         blocks_total += n_act
         e_blocks += int((~heard_c).sum())
@@ -636,7 +636,7 @@ def _crossover_probability(model: SystemModel, ctrl: ControlCode,
         n = min(chunk, trials - lo)
         sent = np.broadcast_to(x_word, (n, ctrl.length))
         y = sample_channel_batch(model.W, sent, rng)
-        heard_c = control_decode_batch(ctrl, y, model.W)
+        heard_c = control_decode_batch(ctrl, y)
         wrong += int((~heard_c).sum()) if send_c else int(heard_c.sum())
     return wrong
 

@@ -27,6 +27,8 @@ from vlfjscc.cli import (
     SIMULATE_COLUMNS,
     ConfigError,
     UsageError,
+    _build_parser,
+    _resolve,
     build_model,
     load_config,
     main,
@@ -334,6 +336,36 @@ def test_sweep_requires_n_list(capsys):
     code, _, err = run_main(capsys, ["sweep"])
     assert code == 1
     assert "usage error" in err and "N_list" in err
+
+
+def test_length_override_alone_clears_the_other_length(tmp_path, capsys):
+    base = parse_config_text(DEFAULT_CONFIG_TEXT)  # sets N = 16
+    from dataclasses import replace
+    listed = replace(base, N=None, N_list=(4, 8))
+    parser = _build_parser()
+
+    def resolved(cfg, *flags):
+        cfg = _resolve(cfg, parser.parse_args(["params", *flags]))
+        return cfg.N, cfg.N_list
+
+    assert resolved(listed, "--N", "12") == (12, None)
+    assert resolved(base, "--N-list", "4,8") == (None, (4, 8))
+    assert resolved(base, "--N", "6", "--N-list", "4,8") == (6, (4, 8))
+    assert resolved(listed) == (None, (4, 8))
+    assert resolved(base) == (16, None)
+    # End to end: --N over a config with N_list runs a single-N command.
+    path = write_config(tmp_path, serialize_config(listed))
+    code, out, err = run_main(capsys, ["converse", "--config", path, "--N",
+                                       "200", "--pd-target", "1e-6"])
+    assert code == 0 and err == ""
+    assert parse_kv(out)["N"] == "200"
+    # And --N-list over a config with N runs the sweep.
+    path = write_config(tmp_path, serialize_config(base), name="single.ini")
+    code, out, err = run_main(capsys, ["sweep", "--config", path,
+                                       "--N-list", "4,8", "--trials", "20"])
+    assert code == 0 and err == ""
+    assert [row.split(",")[0] for row in out.splitlines()[2:]] == \
+        ["4", "8", "0"]
 
 
 # ----------------------------------------------------------------------

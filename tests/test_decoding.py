@@ -5,6 +5,7 @@ oracle written here; ball-mass decisions are cross-checked against
 explicit enumeration.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -116,6 +117,52 @@ def test_random_table_is_deterministic_and_history_aware():
         enc1(t, w, (0,)) != enc1(t, w, (1,))
         for t in range(4) for w in ((0, 0), (0, 1), (1, 0), (1, 1)))
     assert reacts
+
+
+# One history per class of sum(history) % 4, plus a longer one per class.
+HISTORIES = ((), (1,), (0, 2), (3,), (2, 2, 1, 3), (1, 1, 1, 1, 1),
+             (2, 0, 0, 2, 2), (1, 2, 1, 3))
+
+
+@pytest.mark.parametrize("base,length", [(2, 1), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_encoder_rules_match_literal_oracle(base, length, seed):
+    """letter_cycle sends w[step % N]; random_table reads
+    table[step % 8, index of w, sum(h) % 4] from a table redrawn here from
+    a same-seeded generator, with the same draws."""
+    num_inputs = 3
+    rng = np.random.default_rng(seed)
+    table_enc = EncoderMap.random_table(base, length, num_inputs, rng)
+    oracle_rng = np.random.default_rng(seed)
+    table = oracle_rng.integers(0, num_inputs,
+                                size=(8, base ** length, 4))
+    assert rng.random() == oracle_rng.random()
+    cycle_enc = EncoderMap.letter_cycle(base, length)
+    words = list(itertools.product(range(base), repeat=length))
+    batch = np.array(words)
+    for step in range(10):
+        for h in HISTORIES:
+            want_cycle = [w[step % length] for w in words]
+            want_table = [int(table[step % 8, k, sum(h) % 4])
+                          for k in range(len(words))]
+            assert [cycle_enc(step, w, h) for w in words] == want_cycle
+            assert [table_enc(step, w, h) for w in words] == want_table
+            assert cycle_enc.inputs_for_words(step, batch, h).tolist() \
+                == want_cycle
+            assert table_enc.inputs_for_words(step, batch, h).tolist() \
+                == want_table
+
+
+def test_encoder_batch_rejects_out_of_alphabet_and_bad_length():
+    enc = EncoderMap.letter_cycle(2, 2)
+    with pytest.raises(ValueError, match="alphabet"):
+        enc.inputs_for_words(0, enumerate_words(3, 2), ())
+    const = EncoderMap(lambda t, w, h: np.full(len(w), 5), num_inputs=2,
+                       word_length=1)
+    with pytest.raises(ValueError, match="alphabet"):
+        const.inputs_for_words(0, enumerate_words(2, 1), ())
+    with pytest.raises(ValueError, match="word length"):
+        enc.inputs_for_words(0, enumerate_words(2, 3), ())
 
 
 # ----------------------------------------------------------------------

@@ -249,6 +249,15 @@ def test_word_index_roundtrip():
         assert word_index(tuple(w), 3) == k
 
 
+def test_word_index_batch_and_int64_limit():
+    words = enumerate_words(3, 4)
+    assert word_index(words, 3).tolist() == list(range(81))
+    assert type(word_index((2, 1), 3)) is int
+    assert word_index((1,) * 63, 2) == 2 ** 63 - 1
+    with pytest.raises(ValueError, match="int64"):
+        word_index((1,) * 64, 2)
+
+
 def test_pairwise_distortion_matches_scalar():
     rng = np.random.default_rng(11)
     d = hamming_distortion(3)

@@ -28,14 +28,13 @@ from vlfjscc import (
     hamming_distortion,
     ml_channel_decode,
     pairwise_distortion,
+    SystemModel,
+    build_codes,
     source_decode,
     source_encode,
 )
-from vlfjscc.coding_scheme import (
-    control_decode_batch,
-    source_encode_batch,
-    symbol_llr,
-)
+from vlfjscc.coding_scheme import control_decode_batch, source_encode_batch
+from vlfjscc.probability import symbol_llr
 
 # ----------------------------------------------------------------------
 # Oracles
@@ -53,6 +52,27 @@ BSC01_B = 0.8 * math.log(9.0)
 
 def bsc(p: float) -> ChannelMatrix:
     return ChannelMatrix([[1.0 - p, p], [p, 1.0 - p]])
+
+
+ASYM = [[0.95, 0.05], [0.15, 0.85]]
+ZERO_ENTRY = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
+
+
+def llr_oracle(W: ChannelMatrix, x0: int, x0_prime: int) -> np.ndarray:
+    """Per-output LLR, one output letter at a time with math.log."""
+    p = W.matrix[x0]
+    q = W.matrix[x0_prime]
+    llr = np.empty(W.num_outputs)
+    for i in range(W.num_outputs):
+        if p[i] == q[i]:
+            llr[i] = 0.0
+        elif q[i] == 0.0:
+            llr[i] = math.inf
+        elif p[i] == 0.0:
+            llr[i] = -math.inf
+        else:
+            llr[i] = math.log(p[i] / q[i])
+    return llr
 
 
 def covering_failure_oracle(N: int, M: int, D: float) -> float:
@@ -92,6 +112,19 @@ def test_build_source_code_guard_on_huge_m():
     with pytest.raises(ValueError, match="guard"):
         build_source_code(Pmf([0.5, 0.5]), hamming_distortion(2), 0.0, 0.1,
                           64, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], ASYM],
+                         ids=["bsc01", "asym"])
+@pytest.mark.parametrize("epsilon", [0.05, 0.08])
+def test_source_code_size_equals_scheme_message_count(rows, epsilon):
+    model = SystemModel.build(Pmf([0.5, 0.5]), ChannelMatrix(rows),
+                              hamming_distortion(2), 0.2)
+    for N in range(4, 21):
+        cfg = model.derive_config(N, epsilon, 0.3)
+        codes = build_codes(model, cfg, np.random.default_rng(N))
+        assert codes.source.M == cfg.M
+        assert codes.source.reproductions.shape == (cfg.M, N)
 
 
 def test_full_budget_covers_everything_at_index_one():
@@ -273,11 +306,26 @@ def test_symbol_llr_bsc_and_special_cases():
     llr = symbol_llr(bsc(0.1), 0, 1)
     assert llr[0] == pytest.approx(math.log(9.0), abs=1e-12)
     assert llr[1] == pytest.approx(-math.log(9.0), abs=1e-12)
-    W = ChannelMatrix([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    W = ChannelMatrix(ZERO_ENTRY)
     llr = symbol_llr(W, 0, 1)
     assert math.isinf(llr[0]) and llr[0] > 0
     assert llr[1] == 0.0
     assert math.isinf(llr[2]) and llr[2] < 0
+
+
+@pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], ASYM, ZERO_ENTRY],
+                         ids=["bsc01", "asym", "zero-entry"])
+def test_stored_control_llr_is_symbol_llr_bit_for_bit(rows):
+    W = ChannelMatrix(rows)
+    params = channel_params(W)
+    ctrl = build_control_code(params, 4, 0.3)
+    want = llr_oracle(W, params.x0, params.x0_prime).tobytes()
+    assert symbol_llr(W, params.x0, params.x0_prime).tobytes() == want
+    assert params.llr.tobytes() == want
+    assert ctrl.llr.tobytes() == want
+    for table in (params.llr, ctrl.llr):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_build_control_code_threshold_formula():
@@ -330,17 +378,16 @@ def test_control_decode_clean_c_block():
     params = channel_params(bsc(0.1))
     ctrl = build_control_code(params, 5, 0.3)
     y = np.full(5, params.x0)  # uncorrupted repetition of x_c's output
-    assert control_decode(ctrl, y, bsc(0.1)) == "c"
+    assert control_decode(ctrl, y) == "c"
 
 
 def test_control_decode_hand_threshold_cases():
     # m=2, threshold = 2(B - 0.3) = 2.9156; sums are ln9*(zeros - ones).
     params = channel_params(bsc(0.1))
     ctrl = build_control_code(params, 2, 0.3)
-    W = bsc(0.1)
-    assert control_decode(ctrl, (0, 0), W) == "c"  # +2 ln 9 = 4.394
-    assert control_decode(ctrl, (0, 1), W) == "e"  # 0 < threshold
-    assert control_decode(ctrl, (1, 1), W) == "e"
+    assert control_decode(ctrl, (0, 0)) == "c"  # +2 ln 9 = 4.394
+    assert control_decode(ctrl, (0, 1)) == "e"  # 0 < threshold
+    assert control_decode(ctrl, (1, 1)) == "e"
 
 
 def test_control_decode_zero_llr_symbols_are_ignored():
@@ -351,7 +398,7 @@ def test_control_decode_zero_llr_symbols_are_ignored():
     x0, x0p = int(ctrl.x_c[0]), int(ctrl.x_e[0])
     llr = symbol_llr(W, x0, x0p)
     assert llr[0] == 0.0
-    with_zeros = control_decode(ctrl, (0, 0, 1), W)
+    with_zeros = control_decode(ctrl, (0, 0, 1))
     # Hand sum: only the last symbol contributes.
     expect = "c" if llr[1] >= ctrl.llr_threshold else "e"
     assert with_zeros == expect
@@ -359,20 +406,22 @@ def test_control_decode_zero_llr_symbols_are_ignored():
 
 def test_control_decode_support_exclusion_forces_e():
     # Output 2 is impossible under x0: one such symbol decides e outright.
-    W = ChannelMatrix([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    W = ChannelMatrix(ZERO_ENTRY)
     ctrl = ControlCode(length=3, x_c=np.zeros(3, dtype=int),
-                       x_e=np.ones(3, dtype=int), llr_threshold=0.0)
-    assert control_decode(ctrl, (1, 1, 2), W) == "e"
+                       x_e=np.ones(3, dtype=int), llr_threshold=0.0,
+                       llr=symbol_llr(W, 0, 1))
+    assert control_decode(ctrl, (1, 1, 2)) == "e"
     # And output 0 is impossible under x0prime: positive proof of c.
-    assert control_decode(ctrl, (0, 1, 1), W) == "c"
+    assert control_decode(ctrl, (0, 1, 1)) == "c"
 
 
 def test_control_decode_minus_infinite_threshold_always_c():
-    ctrl = ControlCode(length=2, x_c=np.zeros(2, dtype=int),
-                       x_e=np.ones(2, dtype=int), llr_threshold=-math.inf)
     W = bsc(0.2)
+    ctrl = ControlCode(length=2, x_c=np.zeros(2, dtype=int),
+                       x_e=np.ones(2, dtype=int), llr_threshold=-math.inf,
+                       llr=symbol_llr(W, 0, 1))
     for y in ((0, 0), (0, 1), (1, 1)):
-        assert control_decode(ctrl, y, W) == "c"
+        assert control_decode(ctrl, y) == "c"
 
 
 def test_control_decode_batch_matches_scalar():
@@ -380,20 +429,21 @@ def test_control_decode_batch_matches_scalar():
     ctrl = build_control_code(params, 4, 0.5)
     rng = np.random.default_rng(13)
     ys = rng.integers(0, 2, size=(200, 4))
-    got = control_decode_batch(ctrl, ys, bsc(0.1))
+    got = control_decode_batch(ctrl, ys)
     for y, flag in zip(ys, got):
-        assert ("c" if flag else "e") == control_decode(ctrl, y, bsc(0.1))
+        assert ("c" if flag else "e") == control_decode(ctrl, y)
 
 
 def test_control_decode_batch_matches_scalar_with_infinite_llrs():
-    W = ChannelMatrix([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    W = ChannelMatrix(ZERO_ENTRY)
     ctrl = ControlCode(length=3, x_c=np.zeros(3, dtype=int),
-                       x_e=np.ones(3, dtype=int), llr_threshold=0.0)
+                       x_e=np.ones(3, dtype=int), llr_threshold=0.0,
+                       llr=symbol_llr(W, 0, 1))
     rng = np.random.default_rng(14)
     ys = rng.integers(0, 3, size=(200, 3))
-    got = control_decode_batch(ctrl, ys, W)
+    got = control_decode_batch(ctrl, ys)
     for y, flag in zip(ys, got):
-        assert ("c" if flag else "e") == control_decode(ctrl, y, W)
+        assert ("c" if flag else "e") == control_decode(ctrl, y)
 
 
 def test_mean_threshold_crossover_near_half():
@@ -406,7 +456,7 @@ def test_mean_threshold_crossover_near_half():
     rng = np.random.default_rng(15)
     flips = rng.random((20_000, m)) < 0.1
     y = np.where(flips, 0, 1)  # x_e = all ones through BSC(0.1)
-    p_ec = float(control_decode_batch(ctrl, y, bsc(0.1)).mean())
+    p_ec = float(control_decode_batch(ctrl, y).mean())
     assert p_ec >= 0.4
 
 
