@@ -151,10 +151,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     channel = _literal(parser, "channel", "matrix", _as_matrix, required=True)
     dist = _literal(parser, "distortion", "matrix", _as_matrix, default=None)
     D = _literal(parser, "distortion", "D", float, required=True)
-    epsilon = _literal(parser, "scheme", "epsilon", float, default=0.05) \
-        if parser.has_section("scheme") else 0.05
-    delta_ctrl = _literal(parser, "scheme", "delta_ctrl", float, default=0.3) \
-        if parser.has_section("scheme") else 0.3
+    epsilon = _literal(parser, "scheme", "epsilon", float, default=0.05)
+    delta_ctrl = _literal(parser, "scheme", "delta_ctrl", float, default=0.3)
     N = _literal(parser, "run", "N", int, default=None)
     N_list = _literal(parser, "run", "N_list", _as_int_list, default=None)
     trials = _literal(parser, "run", "trials", int, default=10000)

@@ -29,7 +29,7 @@ from .probability import (
 MAX_MESSAGES = 2 ** 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceCodebook:
     """Random-covering source code with a failure sink at index 1.
 
@@ -103,7 +103,7 @@ def source_encode_batch(cb: SourceCodebook, v_batch: np.ndarray) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelCodebook:
     """Random channel code: M codewords of fixed length."""
 
@@ -182,7 +182,7 @@ def ml_channel_decode(cb: ChannelCodebook, y, W: ChannelMatrix) -> int:
     return int(ml_decode_batch(cb.codewords[np.newaxis], y[np.newaxis], W)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlCode:
     """Two repetition codewords, their per-output LLR table and a threshold.
 

@@ -30,7 +30,7 @@ MAX_POSTERIOR_WORDS = 2 ** 22
 MAX_CERTIFY_CELLS = 2 ** 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posterior:
     """Distribution over all length-N source words, stored densely.
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import (
-    ZERO_CLIP,
     ChannelMatrix,
     DistortionMatrix,
     Pmf,
+    _as_clipped,
+    _divergences,
     channel_params,
 )
 
@@ -38,7 +39,7 @@ class SolverConvergenceError(RuntimeError):
         self.best_point = best_point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdPoint:
     """One point of a rate-distortion function, in nats.
 
@@ -66,13 +67,6 @@ class ConverseBound:
     exponent_upper: float
 
 
-def _row_kl(row: np.ndarray, q: np.ndarray) -> float:
-    mask = row > 0
-    if np.any(q[mask] == 0.0):
-        return math.inf
-    return float((row[mask] * np.log(row[mask] / q[mask])).sum())
-
-
 def capacity(W: ChannelMatrix, tol: float = 1e-9,
              max_iter: int = 100_000) -> tuple[float, Pmf]:
     """Channel capacity in nats with a duality-gap stopping certificate.
@@ -80,14 +74,14 @@ def capacity(W: ChannelMatrix, tol: float = 1e-9,
     Returns (C, caid).  The certificate max_x D(W(.|x) || q) - I <= tol
     guarantees the returned value sits within tol of the true capacity.
     """
-    P = W.matrix.copy()
-    P[P < ZERO_CLIP] = 0.0
+    P = _as_clipped(W.matrix)
     nx = W.num_inputs
     px = np.full(nx, 1.0 / nx)
     best_val, best_px = 0.0, px.copy()
     for _ in range(max_iter):
-        q = px @ P
-        div = np.array([_row_kl(P[x], q) for x in range(nx)])
+        # The derived output law stays unclipped: a clipped q would give
+        # every row with mass on a tiny q entry div = inf, then inf - inf.
+        div = _divergences(P, px @ P)
         I = float(px @ div)
         gap = float(div.max() - I)
         if I > best_val:
@@ -133,10 +127,8 @@ def _alternating_min(q: np.ndarray, kernel: np.ndarray, tol: float,
     scale = A.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         P = np.where(scale > 0.0, A / scale, 1.0 / nv)
-    r = q @ P
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(P > 0, P / np.maximum(r[None, :], 1e-300), 1.0)
-        rate = float((q[:, None] * P * np.where(P > 0, np.log(ratio), 0.0)).sum())
+    # Rows with q = 0 stay out: their divergence may be +inf, and 0 * inf = nan.
+    rate = float(q_act @ _divergences(P[active], q @ P))
     return P, max(rate, 0.0)
 
 
@@ -239,14 +231,6 @@ def _simplex_grid(dim: int, resolution: int):
         yield counts / resolution
 
 
-def _divergence_to(pv: np.ndarray, qv: np.ndarray) -> float:
-    mask = qv > 0
-    if np.any(pv[mask] == 0.0):
-        return math.inf
-    out = float((qv[mask] * np.log(qv[mask] / pv[mask]))[qv[mask] > 0].sum())
-    return max(out, 0.0)
-
-
 def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
                     d: DistortionMatrix | None = None) -> float:
     """Covering exponent: inf D(Q || P_V) over sources Q with R(Q, D) > R.
@@ -265,8 +249,6 @@ def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
     slack = 1e-9
 
     def rd_value(qv: np.ndarray) -> float:
-        if np.any(qv < 0):
-            return -math.inf
         try:
             return rate_distortion(Pmf(qv), d, D, tol=1e-9).R
         except ValueError:
@@ -289,7 +271,7 @@ def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
             if rate > best_rate:
                 best_rate, best_rate_q = rate, qv.copy()
             if rate >= R + slack:
-                val = _divergence_to(P_V.probs, qv)
+                val = max(float(_divergences(qv, P_V.probs)), 0.0)
                 if val < best_val:
                     best_val, best_q = val, qv.copy()
         return best_val, best_q, best_rate, best_rate_q

@@ -5,15 +5,18 @@ channel parameter triple (B, lambda, C), per-letter distortion, and
 distortion balls over word alphabets.
 
 Conventions used throughout: natural logarithms, 0 * log 0 = 0, and
-alpha / 0 = +inf for alpha >= 0.  Probabilities below ``ZERO_CLIP`` are
-treated as exact zeros before any divergence is computed, so support
-decisions are deterministic.
+alpha / 0 = +inf for alpha >= 0.  Every relative entropy, and every
+measure built from one, goes through one row-wise kernel that clips
+nothing itself.  The weights of a ``Pmf`` or ``ChannelMatrix`` handed in
+from outside are clipped below ``ZERO_CLIP`` to exact zeros first, so
+support decisions are deterministic; laws derived inside a solver, such
+as the output law of the capacity iteration, are used unclipped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,18 @@ def _as_clipped(probs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _divergences(P: np.ndarray, Q: np.ndarray | float) -> np.ndarray:
+    """D(P || Q) in nats along the last axis, with rows broadcast.
+
+    0 * log(0 / q) = 0, and p > 0 against q = 0 gives +inf.  Nothing is
+    clipped here; callers clip weights that come from outside.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(P > 0, P * np.log(P / Q), 0.0)
+    return terms.sum(axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over {0, ..., k-1}.
 
@@ -63,7 +77,7 @@ class Pmf:
         return len(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """Row-stochastic transition matrix W(y|x), one row per input."""
 
@@ -90,7 +104,7 @@ class ChannelMatrix:
         return Pmf(self.matrix[x])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistortionMatrix:
     """Single-letter distortion d(v, vhat) >= 0 with finite entries."""
 
@@ -120,7 +134,7 @@ def hamming_distortion(alphabet_size: int) -> DistortionMatrix:
     return DistortionMatrix(1.0 - np.eye(alphabet_size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelParams:
     """Derived channel quantities, all in nats.
 
@@ -143,10 +157,8 @@ class ChannelParams:
 
 
 def entropy(p: Pmf) -> float:
-    """Shannon entropy in nats."""
-    probs = _as_clipped(p.probs)
-    mask = probs > 0
-    return float(-(probs[mask] * np.log(probs[mask])).sum())
+    """Shannon entropy in nats: minus the divergence from the counting measure."""
+    return float(-_divergences(_as_clipped(p.probs), 1.0))
 
 
 def binary_entropy(x: float) -> float:
@@ -162,25 +174,17 @@ def kl_divergence(p: Pmf, q: Pmf) -> float:
     """Relative entropy D(p || q) in nats; +inf on support escape."""
     if len(p) != len(q):
         raise ValueError("kl_divergence needs matching alphabets")
-    pp = _as_clipped(p.probs)
-    qq = _as_clipped(q.probs)
-    mask = pp > 0
-    if np.any(qq[mask] == 0.0):
-        return math.inf
-    return float((pp[mask] * np.log(pp[mask] / qq[mask])).sum())
+    return float(_divergences(_as_clipped(p.probs), _as_clipped(q.probs)))
 
 
 def mutual_information(px: Pmf, W: ChannelMatrix) -> float:
     """I(X; Y) for input distribution px over channel W, in nats."""
     if len(px) != W.num_inputs:
         raise ValueError("input pmf does not match channel input alphabet")
-    total = 0.0
+    active = px.probs > 0
     qy = Pmf(px.probs @ W.matrix)
-    for x in range(W.num_inputs):
-        if px.probs[x] == 0.0:
-            continue
-        total += float(px.probs[x]) * kl_divergence(W.row(x), qy)
-    return max(total, 0.0)
+    div = _divergences(_as_clipped(W.matrix[active]), _as_clipped(qy.probs))
+    return max(float(px.probs[active] @ div), 0.0)
 
 
 def symbol_llr(W: ChannelMatrix, x0: int, x0_prime: int) -> np.ndarray:
@@ -201,23 +205,13 @@ def channel_params(W: ChannelMatrix, capacity_tol: float = 1e-9) -> ChannelParam
     clipped = _as_clipped(W.matrix)
     lam = float(clipped.min())
 
-    nx = W.num_inputs
-    best = -1.0
-    pair = (0, 0)
-    if nx >= 2:
-        pair = (0, 1)
-        for x in range(nx):
-            for xp in range(nx):
-                if x == xp:
-                    continue
-                val = kl_divergence(W.row(x), W.row(xp))
-                if val > best:
-                    best = val
-                    pair = (x, xp)
-        B = best
-    else:
-        B = 0.0
-    B_rev = kl_divergence(W.row(pair[1]), W.row(pair[0])) if nx >= 2 else 0.0
+    # div[x, x'] = D(W_x || W_x'); the first off-diagonal argmax in row-major
+    # order is the lexicographically first pair.  One input: B = 0, (0, 0).
+    div = _divergences(clipped[:, None, :], clipped[None, :, :])
+    if W.num_inputs >= 2:
+        np.fill_diagonal(div, -math.inf)
+    pair = tuple(int(i) for i in np.unravel_index(np.argmax(div), div.shape))
+    B, B_rev = float(div[pair]), float(div[pair[::-1]])
 
     C, caid = capacity(W, tol=capacity_tol)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
@@ -347,7 +347,6 @@ class _MessagePhase:
 class _ChunkResult:
     tau: np.ndarray
     excess: np.ndarray
-    realized: np.ndarray
     blocks_total: int
     e_blocks: int
     c_excess_blocks: int
@@ -367,7 +366,6 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
 
     tau = np.zeros(n_trials, dtype=np.int64)
     excess = np.zeros(n_trials, dtype=bool)
-    realized = np.zeros(n_trials, dtype=np.float64)
     alive = np.arange(n_trials)
     blocks_total = 0
     e_blocks = 0
@@ -395,15 +393,13 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
         done = alive[stopped]
         tau[done] = block * cfg.N
         excess[done] = dist[stopped] > D
-        realized[done] = dist[stopped]
         alive = alive[~stopped]
 
     if len(alive) > 0:
         raise SessionCapExceeded(session_cap,
                                  trial_index=trial_offset + int(alive[0]))
-    return _ChunkResult(tau=tau, excess=excess, realized=realized,
-                        blocks_total=blocks_total, e_blocks=e_blocks,
-                        c_excess_blocks=c_excess_blocks)
+    return _ChunkResult(tau=tau, excess=excess, blocks_total=blocks_total,
+                        e_blocks=e_blocks, c_excess_blocks=c_excess_blocks)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +424,7 @@ def rule_of_three(trials: int) -> float:
     return 3.0 / trials
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Monte Carlo estimates for one configuration.
 

@@ -1,0 +1,38 @@
+"""Every top-level import of a package module is used.
+
+No linter runs over this repository, so this is the check that keeps
+dead imports out of ``src/vlfjscc``.  A name bound by a module-level
+``import`` or ``from ... import`` must be read somewhere in that module.
+``__init__.py`` re-exports names and ``__future__`` imports bind nothing,
+so both are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vlfjscc"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_package_modules_found():
+    assert {p.name for p in MODULES} >= {"probability.py", "numerics.py",
+                                         "simulation.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    assert unused_imports(path) == []

@@ -23,8 +23,10 @@ from vlfjscc import (
     kl_divergence,
     mutual_information,
     pairwise_distortion,
+    rate_distortion,
     word_index,
 )
+from vlfjscc.probability import _as_clipped, _divergences
 
 # ----------------------------------------------------------------------
 # Oracles (independent closed forms, computed before use)
@@ -229,6 +231,98 @@ def test_channel_params_asymmetric_channel_picks_max_divergence_pair():
     assert params.B == pytest.approx(best, abs=1e-12)
     assert (params.x0, params.x0_prime) == arg
     assert params.lam == pytest.approx(rows.min(), abs=1e-15)
+
+
+def test_channel_params_pair_rule_on_ties_and_one_input():
+    # Identity: every off-diagonal divergence is +inf, the first is (0, 1).
+    eye = channel_params(ChannelMatrix(np.eye(3)))
+    assert (eye.B, eye.B_reverse) == (math.inf, math.inf)
+    assert (eye.x0, eye.x0_prime) == (0, 1)
+    # Identical rows: B = 0 at the first ordered pair, not on the diagonal.
+    same = channel_params(ChannelMatrix([[0.4, 0.6], [0.4, 0.6]]))
+    assert (same.B, same.B_reverse, same.x0, same.x0_prime) == (0.0, 0.0, 0, 1)
+    # A single input has no pair: B = 0 and the pair is (0, 0).
+    one = channel_params(ChannelMatrix([[0.3, 0.7]]))
+    assert (one.B, one.B_reverse, one.x0, one.x0_prime) == (0.0, 0.0, 0, 0)
+    assert np.array_equal(one.llr, [0.0, 0.0])
+
+
+def _row_kl_literal(row: np.ndarray, q: np.ndarray) -> float:
+    """The per-row divergence loop the capacity solver used before the kernel."""
+    mask = row > 0
+    if np.any(q[mask] == 0.0):
+        return math.inf
+    return float((row[mask] * np.log(row[mask] / q[mask])).sum())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_divergence_kernel_matches_row_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        nx, ny = rng.integers(2, 6, size=2)
+        M = rng.random((nx, ny))
+        M[rng.random((nx, ny)) < 0.3] = 0.0
+        M[rng.random((nx, ny)) < 0.1] = 1e-18
+        M[M.sum(axis=1) < 0.5, 0] = 1.0
+        W = ChannelMatrix(M).matrix
+        px = rng.dirichlet(np.ones(nx))
+        # Clipped and unclipped rows (the kernel clips nothing itself); the
+        # output law of the capacity loop, and other rows, whose zeros give
+        # support escapes (+inf).
+        for P in (W, _as_clipped(W)):
+            for q in [px @ P, *P]:
+                loop = np.array([_row_kl_literal(P[x], q) for x in range(nx)])
+                assert np.array_equal(_divergences(P, q), loop)
+
+
+def _channel_params_loop_literal(W: ChannelMatrix):
+    """The pair loop channel_params used before the divergence matrix."""
+    best, pair = -1.0, (0, 1)
+    for x in range(W.num_inputs):
+        for xp in range(W.num_inputs):
+            if x != xp and kl_divergence(W.row(x), W.row(xp)) > best:
+                best, pair = kl_divergence(W.row(x), W.row(xp)), (x, xp)
+    return best, pair, kl_divergence(W.row(pair[1]), W.row(pair[0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_channel_params_and_mutual_information_match_the_loops(seed):
+    # The loops summed in another order (and renormalised each row), so B
+    # and I agree to rounding, set from float64 eps; the pair exactly.
+    rng = np.random.default_rng(100 + seed)
+    for k in range(40):
+        nx, ny = rng.integers(2, 6, size=2)
+        M = rng.random((nx, ny))
+        # Zeros in every other channel; they make most divergences +inf.
+        M[rng.random((nx, ny)) < 0.3 * (k % 2)] = 0.0
+        M[M.sum(axis=1) == 0.0, 0] = 1.0
+        W = ChannelMatrix(M)
+        px = Pmf(rng.dirichlet(np.ones(nx)) * (np.arange(nx) != nx - 1))
+        qy = Pmf(px.probs @ W.matrix)
+        I_loop = sum(px.probs[x] * kl_divergence(W.row(x), qy)
+                     for x in range(nx) if px.probs[x] > 0)
+        assert mutual_information(px, W) == pytest.approx(max(I_loop, 0.0),
+                                                          rel=0, abs=1e-14)
+        B, pair, B_rev = _channel_params_loop_literal(W)
+        if math.isfinite(B) and W.matrix.min() == 0.0:
+            with pytest.raises(ValueError, match="lambda"):
+                channel_params(W)
+            continue
+        params = channel_params(W)
+        assert (params.x0, params.x0_prime) == pair
+        assert params.B == pytest.approx(B, rel=0, abs=1e-14)
+        assert params.B_reverse == pytest.approx(B_rev, rel=0, abs=1e-14)
+
+
+def test_rate_distortion_with_zero_probability_letter_is_finite():
+    # Letter 2 has q = 0.  At D = 0 its test-channel row falls back to
+    # uniform, with mass where the output law is 0: the rate must skip it.
+    Q = Pmf([0.5, 0.5, 0.0])
+    d = hamming_distortion(3)
+    for D in (0.0, 0.1, 0.25):
+        R = rate_distortion(Q, d, D).R
+        assert math.isfinite(R)
+        assert R == pytest.approx(math.log(2.0) - h2(D), abs=1e-8)
 
 
 # ----------------------------------------------------------------------

@@ -23,10 +23,12 @@ from scipy.stats import binom, binomtest, chi2
 import vlfjscc
 
 from vlfjscc import (
+    ChannelCodebook,
     ChannelMatrix,
     ControlCode,
     DistortionMatrix,
     Pmf,
+    Posterior,
     SchemeConfig,
     SessionCapExceeded,
     SourceCodebook,
@@ -35,12 +37,14 @@ from vlfjscc import (
     TrialRecord,
     build_codes,
     build_control_code,
+    build_source_code,
     channel_params,
     control_phase_exponent,
     empirical_exponent_sweep,
     geometric_gof,
     hamming_distortion,
     monte_carlo,
+    rate_distortion,
     rule_of_three,
     run_session,
     sample_channel,
@@ -178,6 +182,42 @@ def test_system_model_derive_config_matches_manual_derivation():
                                  master_seed=9)
     assert cfg == manual
     assert cfg.msg_len == 15 and cfg.ctrl_len == 1
+
+
+def _noiseless_codes():
+    model = noiseless_full_budget_model()
+    return build_codes(model, model.derive_config(8, 0.2, 0.3),
+                       np.random.default_rng(0))
+
+
+def _noiseless_report():
+    model = noiseless_full_budget_model()
+    return monte_carlo(model.derive_config(8, 0.2, 0.3), model, 1, RngSpec(1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Pmf([0.5, 0.5]),
+    lambda: bsc(0.1),
+    lambda: hamming_distortion(2),
+    lambda: channel_params(bsc(0.1)),
+    lambda: rate_distortion(Pmf([0.5, 0.5]), hamming_distortion(2), 0.1),
+    lambda: build_source_code(Pmf([0.5, 0.5]), hamming_distortion(2), 0.2,
+                              0.05, 6, np.random.default_rng(0)),
+    lambda: ChannelCodebook(M=2, length=3, codewords=np.zeros((2, 3))),
+    lambda: build_control_code(channel_params(bsc(0.1)), 4, 0.3),
+    lambda: Posterior.from_prior(Pmf([0.5, 0.5]), 3),
+    _noiseless_report,
+    bsc_model,
+    _noiseless_codes,
+], ids=["Pmf", "ChannelMatrix", "DistortionMatrix", "ChannelParams",
+        "RdPoint", "SourceCodebook", "ChannelCodebook", "ControlCode",
+        "Posterior", "EstimateReport", "SystemModel", "CodeSet"])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    # Equal-valued instances with distinct arrays: == must not raise.
+    a, b = make(), make()
+    assert (a == b) is False
+    assert a != b
+    assert a == a
 
 
 # ----------------------------------------------------------------------
