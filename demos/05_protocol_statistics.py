@@ -16,8 +16,6 @@ from vlfjscc import (
     geometric_gof,
     hamming_distortion,
     monte_carlo,
-    rate_distortion,
-    reliability_from_parts,
 )
 
 print(__doc__)
@@ -28,9 +26,6 @@ model = SystemModel.build(Pmf([0.5, 0.5]),
 cfg = model.derive_config(N=16, epsilon=0.08, delta_ctrl=0.3, master_seed=1)
 report = monte_carlo(cfg, model, 20_000, RngSpec(1))
 
-point = rate_distortion(model.P_V, model.d, model.D)
-e_star = reliability_from_parts(model.params.B, model.params.C, point.R)
-
 print(f"trials              = {report.trials}")
 print(f"pd_hat              = {report.pd_hat:.5f} "
       f"[{report.pd_lo:.5f}, {report.pd_hi:.5f}] (Wilson 95%)")
@@ -39,7 +34,7 @@ print(f"P_RT per block      = {report.prt_hat:.5f}")
 print(f"P_e per block       = {report.pe_hat:.5f}")
 print(f"empirical exponent  = {report.exponent_hat:.5f} "
       f"+- {report.exponent_ci:.5f}")
-print(f"ceiling E*(D)       = {e_star:.5f}")
+print(f"ceiling E*(D)       = {model.e_star:.5f}")
 print()
 
 print("Renewal identities (exact in-sample by construction):")

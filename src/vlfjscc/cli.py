@@ -8,8 +8,8 @@ Subcommands:
   verify            decoder-optimality certification and property suites
   control-exponent  crossover probabilities of the control phase vs m
 
-Exit codes: 0 success, 1 usage or config problem, 2 invariant failure,
-3 session cap exceeded.
+Exit codes: 0 success, 1 usage or config problem (any configuration the
+library rejects), 2 invariant failure, 3 session cap exceeded.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from .decoding import (
     posterior_update,
     stopping_threshold_time,
 )
-from .numerics import (
-    converse_delay_bound,
-    marton_exponent,
-    rate_distortion,
-    reliability_from_parts,
-)
+from .numerics import converse_delay_bound, marton_exponent
 from .probability import ChannelMatrix, DistortionMatrix, Pmf, hamming_distortion
 from .simulation import (
     RngSpec,
@@ -275,9 +270,7 @@ def _check_report_invariants(report) -> list[str]:
 
 def cmd_params(cfg: ExperimentConfig) -> int:
     model = build_model(cfg)
-    params = model.params
-    point = rate_distortion(model.P_V, model.d, model.D)
-    e_star = reliability_from_parts(params.B, params.C, point.R)
+    params, point = model.params, model.rd
     try:
         gamma = derive_gamma(point.R, cfg.epsilon, params.C)
         gamma_note = _fmt(gamma)
@@ -294,7 +287,7 @@ def cmd_params(cfg: ExperimentConfig) -> int:
         ("R_D", _fmt(point.R)),
         ("gamma", gamma_note),
         ("marton_at_RD_plus_eps", _fmt(marton)),
-        ("E_star", _fmt(e_star)),
+        ("E_star", _fmt(model.e_star)),
     ]
     if point.R >= params.C:
         lines.append(("note", "trivial regime: R(D) >= C forces E_star = 0"))
@@ -314,15 +307,11 @@ def _single_N(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     N = _single_N(cfg)
-    if cfg.trials < 1:
-        raise UsageError("trials must be >= 1")
     model = build_model(cfg)
     scheme = model.derive_config(N, cfg.epsilon, cfg.delta_ctrl,
                                  master_seed=cfg.seed)
     report = monte_carlo(scheme, model, cfg.trials, RngSpec(cfg.seed))
-    point = rate_distortion(model.P_V, model.d, model.D)
-    theory = reliability_from_parts(model.params.B, model.params.C, point.R)
-    text = _csv([_report_row(report, theory)], SIMULATE_COLUMNS)
+    text = _csv([_report_row(report, model.e_star)], SIMULATE_COLUMNS)
     _emit(text, cfg.out)
     failed = _check_report_invariants(report)
     if failed:
@@ -334,8 +323,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     if cfg.N_list is None or cfg.N is not None:
         raise UsageError("sweep needs N_list (and no single N)")
-    if cfg.trials < 1:
-        raise UsageError("trials must be >= 1")
     model = build_model(cfg)
     result = empirical_exponent_sweep(model, cfg.epsilon, cfg.delta_ctrl,
                                       cfg.N_list, cfg.trials,
@@ -474,8 +461,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 def cmd_control_exponent(cfg: ExperimentConfig, m_list: tuple) -> int:
-    if cfg.trials < 1:
-        raise UsageError("trials must be >= 1")
     model = build_model(cfg)
     result = control_phase_exponent(model, m_list, cfg.trials,
                                     cfg.delta_ctrl, RngSpec(cfg.seed))
@@ -570,6 +555,9 @@ def main(argv=None) -> int:
         return 1
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return 1
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 1
     except SessionCapExceeded as exc:
         sys.stderr.write(f"session cap exceeded: {exc}\n")

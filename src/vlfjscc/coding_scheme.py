@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import rate_distortion
+from .numerics import RdPoint
 from .probability import (
     ChannelMatrix,
     ChannelParams,
@@ -61,22 +61,21 @@ def _message_count(N: int, R_D: float, epsilon: float) -> int:
     return M
 
 
-def build_source_code(P_V: Pmf, d: DistortionMatrix, D: float,
+def build_source_code(P_V: Pmf, d: DistortionMatrix, point: RdPoint,
                       epsilon: float, N: int,
                       rng: np.random.Generator) -> SourceCodebook:
     """Draw M = ceil(exp(N(R(D)+2*eps))) reproductions i.i.d.
 
-    Reproduction letters follow the output marginal of the optimal
-    rate-distortion test channel, the distribution under which random
-    covering succeeds at any rate above R(D).
+    Letters follow the output marginal of the test channel of ``point``
+    (R(D) of P_V at D = point.D), under which random covering succeeds
+    at any rate above R(D).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    point = rate_distortion(P_V, d, D)
     M = _message_count(N, point.R, epsilon)
     marginal = point.output_marginal(P_V)
     reps = rng.choice(len(marginal), size=(M, N), p=marginal.probs)
-    return SourceCodebook(N=N, M=M, reproductions=reps, D=D, d=d)
+    return SourceCodebook(N=N, M=M, reproductions=reps, D=point.D, d=d)
 
 
 def source_encode(cb: SourceCodebook, v) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtrc
@@ -47,7 +48,7 @@ from .coding_scheme import (
     source_encode,
     source_encode_batch,
 )
-from .numerics import rate_distortion, reliability_from_parts
+from .numerics import RdPoint, rate_distortion, reliability_from_parts
 from .probability import (
     ChannelMatrix,
     ChannelParams,
@@ -138,7 +139,7 @@ def sample_pmf_batch(p: Pmf, shape, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Source, channel, distortion measure, and target distortion."""
+    """Source, channel, distortion and target D; R(D) and E* solved once."""
 
     P_V: Pmf
     W: ChannelMatrix
@@ -155,11 +156,18 @@ class SystemModel:
             raise ValueError("target distortion must be nonnegative")
         return cls(P_V=P_V, W=W, d=d, D=float(D), params=channel_params(W))
 
+    @cached_property
+    def rd(self) -> RdPoint:
+        return rate_distortion(self.P_V, self.d, self.D)
+
+    @property
+    def e_star(self) -> float:
+        return reliability_from_parts(self.params.B, self.params.C, self.rd.R)
+
     def derive_config(self, N: int, epsilon: float, delta_ctrl: float,
                       master_seed: int = 0) -> SchemeConfig:
-        point = rate_distortion(self.P_V, self.d, self.D)
         return SchemeConfig.derive(N=N, epsilon=epsilon,
-                                   delta_ctrl=delta_ctrl, R_D=point.R,
+                                   delta_ctrl=delta_ctrl, R_D=self.rd.R,
                                    C=self.params.C, master_seed=master_seed)
 
 
@@ -174,7 +182,7 @@ class CodeSet:
 
 def build_codes(model: SystemModel, cfg: SchemeConfig,
                 rng: np.random.Generator) -> CodeSet:
-    source = build_source_code(model.P_V, model.d, model.D, cfg.epsilon,
+    source = build_source_code(model.P_V, model.d, model.rd, cfg.epsilon,
                                cfg.N, rng)
     control = build_control_code(model.params, cfg.ctrl_len, cfg.delta_ctrl)
     return CodeSet(source=source, control=control, caid=model.params.caid)
@@ -421,6 +429,8 @@ def wilson_interval(successes: int, trials: int,
 
 def rule_of_three(trials: int) -> float:
     """95% upper bound for a probability with zero observed events."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     return 3.0 / trials
 
 
@@ -584,8 +594,6 @@ def empirical_exponent_sweep(model: SystemModel, epsilon: float,
     N_list = list(N_list)
     if N_list != sorted(N_list):
         raise ValueError("N_list must be ascending")
-    point = rate_distortion(model.P_V, model.d, model.D)
-    theory = reliability_from_parts(model.params.B, model.params.C, point.R)
     rows = []
     for N in N_list:
         cfg = model.derive_config(N, epsilon, delta_ctrl,
@@ -593,7 +601,7 @@ def empirical_exponent_sweep(model: SystemModel, epsilon: float,
         report = monte_carlo(cfg, model, trials, rng.child("N", N),
                              session_cap=session_cap)
         rows.append(SweepRow(N=N, report=report))
-    return SweepResult(rows=tuple(rows), exponent_theory=float(theory))
+    return SweepResult(rows=tuple(rows), exponent_theory=float(model.e_star))
 
 
 # ----------------------------------------------------------------------
@@ -649,6 +657,8 @@ def control_phase_exponent(model: SystemModel, m_list, trials: int,
     m_list = list(m_list)
     if len(m_list) < 3:
         raise ValueError("need at least three control lengths")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     points = []
     for m in m_list:
         ctrl = build_control_code(model.params, m, delta_ctrl)

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front end.
 
-All subcommands run in-process through main(). One test runs `verify`
-through the `vlfjscc` entry point of pyproject.toml's [project.scripts]
-in a fresh interpreter, the way the generated console wrapper calls it,
-so it needs no install; where a `vlfjscc` executable is on PATH it runs
-that too. Expected numbers come from the closed-form oracles used
+All subcommands run in-process through main(), except two kinds of
+check that need a fresh interpreter. One test runs `verify` through the
+`vlfjscc` entry point of pyproject.toml's [project.scripts], the way the
+generated console wrapper calls it, so it needs no install; where a
+`vlfjscc` executable is on PATH it runs that too. The rejected-
+configuration tests run `python -m vlfjscc` to see exactly what a user
+sees on stderr. Expected numbers come from the closed-form oracles used
 elsewhere in the suite.
 """
 
@@ -486,6 +488,70 @@ def test_bad_config_path_is_config_error(capsys):
     assert "config error" in err
 
 
+def package_env() -> dict:
+    """Environment whose PYTHONPATH puts this package's source first."""
+    package_root = str(Path(vlfjscc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--N", "40"], "exceeds guard"),
+    (["simulate", "--epsilon", "0.2"], "R(D) + 3*epsilon >= C"),
+    (["simulate", "--delta-ctrl", "5"], "delta_ctrl must lie strictly"),
+    (["sweep", "--N-list", "16,8"], "N_list must be ascending"),
+    (["control-exponent", "--m-list", "50"], "at least three control"),
+], ids=["message-guard", "epsilon", "delta-ctrl", "descending-N-list",
+        "short-m-list"])
+def test_rejected_configuration_is_one_line_exit_1(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "vlfjscc", *argv],
+                          env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.fixture
+def rd_solves(monkeypatch):
+    """Records every rate_distortion call, from any vlfjscc module."""
+    calls = []
+    original = vlfjscc.numerics.rate_distortion
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "vlfjscc" and \
+                getattr(module, "rate_distortion", None) is original:
+            monkeypatch.setattr(module, "rate_distortion", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["simulate", "--trials", "200"], 1),
+    (["sweep", "--N-list", "8,12,16", "--trials", "200"], 1),
+    (["control-exponent", "--trials", "200"], 0),
+], ids=["simulate", "sweep", "control-exponent"])
+def test_main_solves_rate_distortion_at_most_once(capsys, rd_solves, argv,
+                                                  solves):
+    code, _, err = run_main(capsys, argv)
+    assert code == 0 and err == ""
+    assert len(rd_solves) == solves
+
+
+def test_building_a_model_solves_nothing(rd_solves):
+    model = build_model(load_config(None))
+    assert rd_solves == []
+    model.derive_config(16, 0.08, 0.3)
+    model.derive_config(20, 0.08, 0.3)
+    assert model.e_star > 0.0
+    assert len(rd_solves) == 1
+
+
 def console_script_target():
     """The ``module:attr`` target of ``vlfjscc`` in [project.scripts]."""
     try:
@@ -513,12 +579,8 @@ def test_console_script_runs_verify():
         f"main = EntryPoint('vlfjscc', {console_script_target()!r},"
         " 'console_scripts').load()\n"
         "sys.exit(main())\n")
-    package_root = str(Path(vlfjscc.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
     assert_verify_passes(subprocess.run(
-        [sys.executable, "-c", wrapper, "verify"], env=env,
+        [sys.executable, "-c", wrapper, "verify"], env=package_env(),
         capture_output=True, text=True))
     installed = shutil.which("vlfjscc")
     if installed is not None:

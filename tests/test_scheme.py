@@ -28,6 +28,7 @@ from vlfjscc import (
     hamming_distortion,
     ml_channel_decode,
     pairwise_distortion,
+    rate_distortion,
     SystemModel,
     build_codes,
     source_decode,
@@ -95,23 +96,25 @@ def test_build_source_code_m_formula():
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
     for N, eps in ((8, 0.05), (12, 0.08), (16, 0.1)):
-        cb = build_source_code(source, d, 0.2, eps, N,
-                               np.random.default_rng(0))
+        cb = build_source_code(source, d, rate_distortion(source, d, 0.2),
+                               eps, N, np.random.default_rng(0))
         oracle = math.ceil(math.exp(N * (RD_HALF_02 + 2 * eps)))
         assert cb.M == oracle
         assert cb.reproductions.shape == (cb.M, N)
 
 
 def test_build_source_code_rejects_nonpositive_epsilon():
+    source, d = Pmf([0.5, 0.5]), hamming_distortion(2)
+    point = rate_distortion(source, d, 0.2)
     with pytest.raises(ValueError):
-        build_source_code(Pmf([0.5, 0.5]), hamming_distortion(2), 0.2, 0.0,
-                          8, np.random.default_rng(0))
+        build_source_code(source, d, point, 0.0, 8, np.random.default_rng(0))
 
 
 def test_build_source_code_guard_on_huge_m():
+    source, d = Pmf([0.5, 0.5]), hamming_distortion(2)
+    point = rate_distortion(source, d, 0.0)
     with pytest.raises(ValueError, match="guard"):
-        build_source_code(Pmf([0.5, 0.5]), hamming_distortion(2), 0.0, 0.1,
-                          64, np.random.default_rng(0))
+        build_source_code(source, d, point, 0.1, 64, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], ASYM],
@@ -130,7 +133,8 @@ def test_source_code_size_equals_scheme_message_count(rows, epsilon):
 def test_full_budget_covers_everything_at_index_one():
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
-    cb = build_source_code(source, d, 1.0, 0.05, 6, np.random.default_rng(1))
+    cb = build_source_code(source, d, rate_distortion(source, d, 1.0), 0.05,
+                           6, np.random.default_rng(1))
     words = enumerate_words(2, 6)
     for w in words:
         assert source_encode(cb, tuple(w)) == 1
@@ -153,7 +157,8 @@ def test_covering_failure_decays_with_n():
     rng = np.random.default_rng(42)
     rates = []
     for N in (8, 12, 16):
-        cb = build_source_code(source, d, D, eps, N, rng)
+        cb = build_source_code(source, d, rate_distortion(source, d, D), eps,
+                               N, rng)
         v = rng.integers(0, 2, size=(samples, N))
         dists = pairwise_distortion(d, v, cb.reproductions)
         uncovered = float((dists.min(axis=1) > D).mean())
@@ -192,7 +197,8 @@ def test_source_decode_range_checks():
 def test_source_roundtrip_within_budget_exhaustive_n8():
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
-    cb = build_source_code(source, d, 0.2, 0.08, 8, np.random.default_rng(7))
+    cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.08,
+                           8, np.random.default_rng(7))
     words = enumerate_words(2, 8)
     uncovered = 0
     for w in words:
@@ -211,7 +217,8 @@ def test_source_roundtrip_within_budget_exhaustive_n8():
 def test_source_encode_batch_matches_scalar():
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
-    cb = build_source_code(source, d, 0.2, 0.05, 8, np.random.default_rng(3))
+    cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.05,
+                           8, np.random.default_rng(3))
     rng = np.random.default_rng(4)
     batch = rng.integers(0, 2, size=(300, 8))
     got = source_encode_batch(cb, batch)

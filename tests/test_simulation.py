@@ -45,6 +45,7 @@ from vlfjscc import (
     hamming_distortion,
     monte_carlo,
     rate_distortion,
+    reliability_function,
     rule_of_three,
     run_session,
     sample_channel,
@@ -184,6 +185,18 @@ def test_system_model_derive_config_matches_manual_derivation():
     assert cfg.msg_len == 15 and cfg.ctrl_len == 1
 
 
+@pytest.mark.parametrize("W", [bsc(0.1),
+                               ChannelMatrix([[0.95, 0.05], [0.15, 0.85]])],
+                         ids=["bsc01", "asymmetric"])
+def test_system_model_rd_and_e_star_match_the_numerics(W):
+    model = SystemModel.build(Pmf([0.5, 0.5]), W, hamming_distortion(2), 0.2)
+    assert model.rd.R == rate_distortion(model.P_V, model.d, model.D).R
+    assert model.rd.D == model.D
+    assert model.rd is model.rd
+    assert model.e_star == reliability_function(model.P_V, W, model.d,
+                                                model.D)
+
+
 def _noiseless_codes():
     model = noiseless_full_budget_model()
     return build_codes(model, model.derive_config(8, 0.2, 0.3),
@@ -201,7 +214,9 @@ def _noiseless_report():
     lambda: hamming_distortion(2),
     lambda: channel_params(bsc(0.1)),
     lambda: rate_distortion(Pmf([0.5, 0.5]), hamming_distortion(2), 0.1),
-    lambda: build_source_code(Pmf([0.5, 0.5]), hamming_distortion(2), 0.2,
+    lambda: build_source_code(Pmf([0.5, 0.5]), hamming_distortion(2),
+                              rate_distortion(Pmf([0.5, 0.5]),
+                                              hamming_distortion(2), 0.2),
                               0.05, 6, np.random.default_rng(0)),
     lambda: ChannelCodebook(M=2, length=3, codewords=np.zeros((2, 3))),
     lambda: build_control_code(channel_params(bsc(0.1)), 4, 0.3),
@@ -471,6 +486,16 @@ def test_wilson_interval_matches_scipy():
 def test_rule_of_three():
     assert rule_of_three(100) == pytest.approx(0.03)
     assert rule_of_three(10_000) == pytest.approx(3e-4)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda: rule_of_three(0),
+    lambda: control_phase_exponent(bsc_model(), [4, 8, 12], 0, 0.3,
+                                   RngSpec(0)),
+], ids=["rule_of_three", "control_phase_exponent"])
+def test_zero_trials_is_a_value_error(estimate):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate()
 
 
 # ----------------------------------------------------------------------
