@@ -275,7 +275,7 @@ def cmd_params(cfg: ExperimentConfig) -> int:
         gamma = derive_gamma(point.R, cfg.epsilon, params.C)
         gamma_note = _fmt(gamma)
     except ValueError:
-        gamma_note = "unavailable (R(D) + 3*epsilon >= C)"
+        gamma_note = "unavailable: the canonical split needs R(D) + 3*epsilon < C"
     marton = marton_exponent(model.P_V, point.R + cfg.epsilon, model.D,
                              d=model.d)
     lines = [

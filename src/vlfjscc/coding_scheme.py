@@ -28,6 +28,11 @@ from .probability import (
 # Source index guard: M may not exceed this (memory predictability).
 MAX_MESSAGES = 2 ** 20
 
+# Rows in the first block of the first-cover scan.  Each later block
+# doubles, so a word first covered at index k meets fewer than 2k + 32
+# reproductions.
+FIRST_COVER_BLOCK = 32
+
 
 @dataclass(frozen=True, eq=False)
 class SourceCodebook:
@@ -94,11 +99,26 @@ def source_decode(cb: SourceCodebook, index: int) -> tuple:
 
 
 def source_encode_batch(cb: SourceCodebook, v_batch: np.ndarray) -> np.ndarray:
-    """Vectorized first-cover encoding of a batch of source words."""
-    dists = pairwise_distortion(cb.d, v_batch, cb.reproductions)
-    covered = dists <= cb.D
-    idx = covered.argmax(axis=1).astype(np.int64) + 1
-    idx[~covered.any(axis=1)] = 1
+    """First-cover encoding of a batch of source words.
+
+    The reproductions are scanned in row blocks of FIRST_COVER_BLOCK,
+    then twice as many rows per block.  A word leaves the scan at the
+    first block holding a reproduction within D of it, and takes the
+    smallest such index; only words no reproduction covers meet all M
+    rows, and they take the sink index 1.
+    """
+    v = np.asarray(v_batch)
+    idx = np.ones(len(v), dtype=np.int64)
+    scanning = np.arange(len(v))
+    lo, size = 0, FIRST_COVER_BLOCK
+    while scanning.size and lo < cb.M:
+        covered = pairwise_distortion(
+            cb.d, v[scanning], cb.reproductions[lo:lo + size]) <= cb.D
+        hit = covered.any(axis=1)
+        idx[scanning[hit]] = covered[hit].argmax(axis=1) + lo + 1
+        scanning = scanning[~hit]
+        lo += size
+        size *= 2
     return idx
 
 
@@ -263,8 +283,7 @@ def derive_gamma(R_D: float, epsilon: float, C: float) -> float:
         raise ValueError("capacity must be positive")
     if R_D + 3.0 * epsilon >= C:
         raise ValueError(
-            "R(D) + 3*epsilon >= C: the reliability exponent is 0 in this "
-            "regime and the canonical phase split is undefined")
+            "R(D) + 3*epsilon >= C: the canonical phase split is unavailable")
     return (R_D + 3.0 * epsilon) / C
 
 
@@ -296,8 +315,12 @@ class SchemeConfig:
         try:
             gamma = derive_gamma(R_D, epsilon, C)
         except ValueError:
-            if R_D + 2.0 * epsilon >= C:
+            if epsilon <= 0 or C <= 0:
                 raise
+            if R_D + 2.0 * epsilon >= C:
+                raise ValueError(
+                    "R(D) + 2*epsilon >= C: the source code rate cannot "
+                    "clear capacity in any phase split") from None
             gamma = 0.5 * ((R_D + 2.0 * epsilon) / C + 1.0)
         if not (R_D + 2.0 * epsilon) / gamma < C:
             raise ValueError("message-phase rate does not clear capacity")

@@ -266,13 +266,18 @@ def word_index(word, base: int):
 
 def pairwise_distortion(d: DistortionMatrix, words_a: np.ndarray,
                         words_b: np.ndarray) -> np.ndarray:
-    """Matrix of per-letter distortions between two word lists."""
-    a = np.asarray(words_a, dtype=np.int64)
-    b = np.asarray(words_b, dtype=np.int64)
+    """Matrix of per-letter distortions between two word lists.
+
+    Entry (i, j) is the mean over positions of d(a_i[pos], b_j[pos]),
+    summed in position order.  Per position the (|V|, len(b)) table
+    d[:, b[:, pos]] is gathered once and its rows are taken at a[:, pos].
+    """
+    a = np.asarray(words_a, dtype=np.intp)
+    b = np.asarray(words_b, dtype=np.intp)
     n = a.shape[1]
     out = np.zeros((a.shape[0], b.shape[0]))
     for pos in range(n):
-        out += d.matrix[a[:, pos][:, None], b[:, pos][None, :]]
+        out += d.matrix[:, b[:, pos]][a[:, pos]]
     return out / n
 
 

@@ -499,7 +499,7 @@ def package_env() -> dict:
 
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--N", "40"], "exceeds guard"),
-    (["simulate", "--epsilon", "0.2"], "R(D) + 3*epsilon >= C"),
+    (["simulate", "--epsilon", "0.2"], "R(D) + 2*epsilon >= C"),
     (["simulate", "--delta-ctrl", "5"], "delta_ctrl must lie strictly"),
     (["sweep", "--N-list", "16,8"], "N_list must be ascending"),
     (["control-exponent", "--m-list", "50"], "at least three control"),

@@ -364,6 +364,34 @@ def test_pairwise_distortion_matches_scalar():
                 distortion(d, a[i], b[j]), abs=1e-15)
 
 
+# d(a, b) != d(b, a), so a transposed gather reads other entries.  The
+# entries are dyadic, so every position sum is exact in float64 and any
+# summation order gives the same word distortion.
+ASYM3 = DistortionMatrix([[0.0, 1.0, 2.0], [0.5, 0.0, 0.75],
+                          [1.5, 0.25, 0.0]])
+
+
+def test_pairwise_distortion_orientation_with_asymmetric_distortion():
+    rng = np.random.default_rng(12)
+    a = rng.integers(0, 3, size=(6, 11))
+    b = rng.integers(0, 3, size=(9, 11))
+    got = pairwise_distortion(ASYM3, a, b)
+    assert got.shape == (6, 9)
+    for i in range(6):
+        for j in range(9):
+            assert got[i, j] == distortion(ASYM3, a[i], b[j])
+    assert not np.array_equal(got, pairwise_distortion(ASYM3, b, a).T)
+
+
+@pytest.mark.parametrize("center", [(0, 0, 0, 0), (2, 1, 0, 2), (1, 2, 2, 1)])
+@pytest.mark.parametrize("D", [0.0, 0.25, 0.5, 0.8125])
+def test_distortion_ball_asymmetric_matches_brute_force(center, D):
+    words = enumerate_words(3, 4)
+    want = [tuple(w) for w in words if distortion(ASYM3, center, w) <= D]
+    got = [tuple(w) for w in distortion_ball(ASYM3, center, D)]
+    assert got == want
+
+
 def test_distortion_ball_binary_hamming():
     d = hamming_distortion(2)
     ball = distortion_ball(d, (0, 0, 0, 0), 0.25)

@@ -14,6 +14,7 @@ from vlfjscc import (
     ChannelCodebook,
     ChannelMatrix,
     ControlCode,
+    DistortionMatrix,
     Pmf,
     SchemeConfig,
     SourceCodebook,
@@ -34,6 +35,7 @@ from vlfjscc import (
     source_decode,
     source_encode,
 )
+from vlfjscc import coding_scheme
 from vlfjscc.coding_scheme import control_decode_batch, source_encode_batch
 from vlfjscc.probability import symbol_llr
 
@@ -224,6 +226,64 @@ def test_source_encode_batch_matches_scalar():
     got = source_encode_batch(cb, batch)
     for row, idx in zip(batch, got):
         assert idx == source_encode(cb, tuple(row))
+
+
+# d(a, b) != d(b, a); dyadic entries keep every position sum exact.
+ASYM_DISTORTION = {
+    2: [[0.0, 1.0], [0.25, 0.0]],
+    3: [[0.0, 1.0, 2.0], [0.5, 0.0, 0.75], [1.5, 0.25, 0.0]],
+}
+
+
+@pytest.mark.parametrize("M", [1, 20, 32, 97, 500])
+@pytest.mark.parametrize("q", [2, 3])
+def test_source_encode_batch_matches_full_table_rule(q, M):
+    # M = 1, below the first block, on its boundary, and off the later
+    # boundaries (32 + 64 = 96, 32 + 64 + 128 + 256 = 480).
+    rng = np.random.default_rng(100 * q + M)
+    d = DistortionMatrix(ASYM_DISTORTION[q])
+    N = 8
+    reps = rng.integers(0, q, size=(M, N))
+    v = rng.integers(0, q, size=(400, N))
+    table = pairwise_distortion(d, v, reps)
+    # D = 0 and attained cell values, so exact ties sit on the budget.
+    budgets = [0.0, *np.quantile(table, [0.001, 0.02, 0.3], method="lower")]
+    uncovered = 0
+    for D in budgets:
+        assert (table == D).any() or D == 0.0
+        cb = SourceCodebook(N=N, M=M, reproductions=reps, D=float(D), d=d)
+        covered = table <= D
+        want = np.where(covered.any(axis=1), covered.argmax(axis=1) + 1, 1)
+        got = source_encode_batch(cb, v)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        uncovered += int((~covered.any(axis=1)).sum())
+        empty = source_encode_batch(cb, v[:0])
+        assert empty.shape == (0,) and empty.dtype == np.int64
+    assert uncovered > 0
+
+
+def test_source_encode_batch_stops_at_the_first_cover(monkeypatch):
+    # mc-bsc-n20 setting: almost every word is covered early, so the scan
+    # computes a fraction of the n x M table.  The full table fails this.
+    source = Pmf([0.5, 0.5])
+    d = hamming_distortion(2)
+    cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.08,
+                           20, np.random.default_rng(5))
+    v = np.random.default_rng(6).integers(0, 2, size=(1024, 20))
+    cells = []
+    original = coding_scheme.pairwise_distortion
+
+    def counted(*args):
+        out = original(*args)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(coding_scheme, "pairwise_distortion", counted)
+    idx = source_encode_batch(cb, v)
+    dist = d.matrix[v, cb.reproductions[idx - 1]].mean(axis=1)
+    assert (dist <= cb.D).mean() > 0.95
+    assert sum(cells) <= len(v) * cb.M // 3
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +542,7 @@ def test_derive_gamma_hand_arithmetic():
 
 
 def test_derive_gamma_rejects_trivial_regime():
-    with pytest.raises(ValueError, match="exponent is 0"):
+    with pytest.raises(ValueError, match="canonical phase split"):
         derive_gamma(0.3, 0.03, 0.368064)
     with pytest.raises(ValueError):
         derive_gamma(0.1, 0.0, 0.3)
@@ -520,8 +580,17 @@ def test_scheme_config_midpoint_fallback():
 
 
 def test_scheme_config_rejects_when_message_rate_cannot_clear_capacity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"R\(D\) \+ 2\*epsilon >= C"):
         SchemeConfig.derive(16, 0.2, 0.3, RD_HALF_02, 0.368064)
+
+
+@pytest.mark.parametrize("epsilon, C", [(0.0, 0.368064), (-0.01, 0.368064),
+                                        (0.05, 0.0)],
+                         ids=["zero-eps", "negative-eps", "zero-capacity"])
+def test_scheme_config_does_not_fall_back_on_invalid_inputs(epsilon, C):
+    # Only the R(D) + 3*eps >= C failure may take the midpoint fallback.
+    with pytest.raises(ValueError, match="must be positive"):
+        SchemeConfig.derive(16, epsilon, 0.3, RD_HALF_02, C)
 
 
 def test_scheme_config_boundary_failures():

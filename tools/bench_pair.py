@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Paired before/after benchmark of a base commit against the working tree.
+
+    python3 tools/bench_pair.py --pairs 10 --base HEAD --out BENCH.json
+
+Exports the committed files of --base into a temporary directory with
+``git archive``, then runs ``perfbench/run.py --trace 0`` of each side
+over seeds 1..--pairs on every workload of ``BENCHMARK.json``, for the
+run length it fixes.  Each seed is one pair: the base and the working
+tree run back to back, one at a time, and the side that goes first
+alternates from pair to pair.  The JSON written to --out holds, per
+workload and end-to-end metric, both sides' runs, medians and quartiles
+(``statistics.quantiles(values, n=4)``) and the pairs the working tree
+wins (ties count for neither side); per workload, both sides'
+determinism digests, correctness and failed shares; and the machine
+block that ``run.py`` prints.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("base", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export_commit(rev: str, dest: str) -> None:
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                         timeout=600)
+    if res.returncode != 0:
+        raise RuntimeError(f"{checkout} {workload} seed {seed}: exit "
+                           f"{res.returncode}\n{res.stderr}")
+    lines = res.stdout.strip().splitlines()
+    out = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("# machine "):
+            out["machine"] = json.loads(line[len("# machine "):])
+        elif line.startswith("# digest "):
+            out["digest"] = line.split()[-1]
+    return out
+
+
+def summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) >= 2 \
+        else (values[0],) * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "runs": values}
+
+
+def workload_report(runs: dict, metrics: dict) -> dict:
+    report = {"metrics": {}}
+    for name, spec in metrics.items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in SIDES}
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        wins = sum(sign * (c - b) > 0
+                   for b, c in zip(values["base"], values["change"]))
+        report["metrics"][name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "bound": spec.get("bound"), "pairs": len(values["base"]),
+            "change_wins": wins,
+            **{side: summary(values[side]) for side in SIDES},
+        }
+    for side in SIDES:
+        report[side] = {
+            "digests": [r["digest"] for r in runs[side]],
+            "correct": all(r["correct"] for r in runs[side]),
+            "failed_shares": [r["failed"] / r["attempted"] for r in runs[side]],
+        }
+    report["digests_identical"] = \
+        report["base"]["digests"] == report["change"]["digests"]
+    return report
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--pairs", type=int, default=10,
+                   help="seeds 1..PAIRS, one base/change pair each")
+    p.add_argument("--base", default="HEAD", help="commit to compare against")
+    p.add_argument("--out", required=True, help="JSON file to write")
+    args = p.parse_args()
+    if args.pairs < 1:
+        p.error("--pairs must be positive")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    workloads = [w["name"] for w in bench["workloads"]]
+    base_rev = git("rev-parse", args.base)
+
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    machines = []
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as base_dir:
+        export_commit(base_rev, base_dir)
+        checkouts = {"base": base_dir, "change": ROOT}
+        for seed in range(1, args.pairs + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
+            for workload in workloads:
+                for side in order:
+                    out = run_once(checkouts[side], workload, seed,
+                                   bench["run_seconds"])
+                    runs[workload][side].append(out)
+                    machines.append(out["machine"])
+                    print(f"seed {seed} {workload} {side}: "
+                          f"digest {out['digest'][:12]} " + " ".join(
+                              f"{k}={v['value']:.6g}"
+                              for k, v in out["metrics"].items()),
+                          flush=True)
+
+    result = {
+        "base": base_rev,
+        "change": f"working tree on {git('rev-parse', 'HEAD')}",
+        "run_seconds": bench["run_seconds"],
+        "seeds": list(range(1, args.pairs + 1)),
+        "machine": machines[0],
+        "machine_constant": all(m == machines[0] for m in machines),
+        "workloads": {w: workload_report(runs[w], metrics) for w in workloads},
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
