@@ -53,6 +53,20 @@ for th in (0.5, 0.2, 0.05):
     print(f"first time the tail drops below {th}: {when}")
 
 print()
+# At N = 16 the full ball-mass table would hold 2^32 cells.  A group FFT
+# over Z_2^16 ranks every candidate centre at once, so only the centres
+# that can win are scored exactly.
+N16, D16, th16 = 16, 0.25, 0.45
+rng = np.random.default_rng(8)
+v16 = (rng.random(N16) < 0.3).astype(int)
+y16 = [int(v16[t] ^ (rng.random() < 0.1)) for t in range(4)]
+traj16 = posterior_trajectory(P_V, EncoderMap.letter_cycle(2, N16), y16, W)
+t16 = stopping_threshold_time(traj16, d, D16, th16)
+when = f"t = {t16}" if t16 is not None else "never (within this trajectory)"
+print(f"N = {N16}, D = {D16}, outputs {y16}: the tail first drops "
+      f"below {th16} at {when}")
+
+print()
 rep = certify_map_optimality(P_V, enc, W, d, 0.0, n=4)
 print("certification over all output sequences of length 4:")
 print(f"  outputs checked    = {rep.outputs_checked}")

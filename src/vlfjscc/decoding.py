@@ -28,6 +28,14 @@ from .probability import (
 MAX_POSTERIOR_WORDS = 2 ** 22
 # Certification instance guard (|V|**N * |Y|**n).
 MAX_CERTIFY_CELLS = 2 ** 22
+# Ball-mass scoring guard: candidate centres scored exactly times |V|**N.
+MAX_SCORE_CELLS = 2 ** 26
+# Cells of one scored block (centres times |V|**N), 32 MiB as float64.
+SCORE_CHUNK_CELLS = 2 ** 22
+# FFT ball masses within this of the largest are scored exactly.  It sits
+# far above the FFT rounding (below 1e-13 at N = 10) and far below any
+# real gap between distinct ball masses.
+BALL_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,22 +170,59 @@ def posterior_trajectory(P_V: Pmf, enc: EncoderMap, yn,
     return list(_posteriors(P_V, enc, yn, W))
 
 
-def _ball_masses(post: Posterior, d: DistortionMatrix, D: float) -> np.ndarray:
-    """Posterior mass of the distortion-D ball around every candidate word."""
-    words = enumerate_words(post.base, post.length)
-    masses = np.empty(len(words))
-    chunk = 2048
-    for lo in range(0, len(words), chunk):
-        block = pairwise_distortion(d, words[lo:lo + chunk], words)
-        masses[lo:lo + chunk] = (block <= D) @ post.weights
-    return masses
+def _is_translation_invariant(d: DistortionMatrix) -> bool:
+    """d(a, b) depends only on (b - a) mod |V|, as Hamming and Lee do."""
+    q = d.alphabet_size
+    a = np.arange(q)[:, None]
+    return bool((d.matrix[a, (a + np.arange(q)) % q] == d.matrix[0]).all())
 
 
 def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
-    """Largest distortion-D ball mass and its center; lexicographic ties."""
-    masses = _ball_masses(post, d, D)
+    """Largest distortion-D ball mass and its center; lexicographic ties.
+
+    The exact score of a centre is the row kernel
+    ``(pairwise_distortion(d, centre, words) <= D) @ post.weights``, and
+    the answer is the lowest-index centre of largest score.  Only centres
+    that can win are scored.  For a translation-invariant distortion every
+    ball mass is one cross-correlation over Z_q^N of the posterior with the
+    ball-at-zero indicator, so N-dimensional FFTs give all q^N masses to
+    rounding in O(N q^N log q); centres more than BALL_MASS_TOL below the
+    largest of them cannot win and are dropped.  For any other
+    distortion every centre is scored.  A near-flat posterior, such as a
+    uniform prior, leaves most centres within the tolerance and so still
+    costs |V|^{2N} cells; past MAX_SCORE_CELLS it is refused.
+    """
+    words = enumerate_words(post.base, post.length)
+    n_words = len(words)
+    shape = (post.base,) * post.length
+    invariant = _is_translation_invariant(d)
+    if invariant:
+        ball = pairwise_distortion(d, words[:1], words)[0] <= D
+        f_post = np.fft.fftn(post.weights.reshape(shape))
+        f_ball = np.fft.fftn(ball.reshape(shape))
+        # conj: the centre is the first argument of d, so this is a
+        # correlation, mass(c) = sum_u post(c + u) ball(u).
+        approx = np.fft.ifftn(f_post * np.conj(f_ball)).real.ravel()
+        rows = np.flatnonzero(approx >= approx.max() - BALL_MASS_TOL)
+    else:
+        rows = np.arange(n_words)
+    if len(rows) * n_words > MAX_SCORE_CELLS:
+        why = (f"the posterior is near flat, as a uniform prior is, so "
+               f"{len(rows)} centres lie within {BALL_MASS_TOL:g} of the "
+               "best ball mass" if invariant else
+               "the distortion is not translation-invariant, so every "
+               "centre is scored")
+        raise ValueError(
+            f"ball masses over {n_words} source words: {why}; "
+            f"{len(rows)} x {n_words} cells exceed the scoring guard of "
+            f"{MAX_SCORE_CELLS}")
+    masses = np.empty(len(rows))
+    step = max(1, SCORE_CHUNK_CELLS // n_words)
+    for lo in range(0, len(rows), step):
+        block = pairwise_distortion(d, words[rows[lo:lo + step]], words)
+        masses[lo:lo + step] = (block <= D) @ post.weights
     k = int(np.argmax(masses))
-    word = np.unravel_index(k, (post.base,) * post.length)
+    word = np.unravel_index(int(rows[k]), shape)
     return float(masses[k]), tuple(int(v) for v in word)
 
 
@@ -186,7 +231,10 @@ def min_tail_mass(post: Posterior, d: DistortionMatrix,
     """Smallest achievable conditional excess mass and its candidate word.
 
     Exact minimum over all candidates of the posterior mass outside the
-    distortion-D ball; lexicographic tie-break.
+    distortion-D ball; lexicographic tie-break.  For Hamming, Lee and any
+    other translation-invariant distortion a group FFT prunes the
+    candidates first, so only the centres that can win are scored
+    exactly; see _best_ball for the cost of a near-flat posterior.
     """
     mass, word = _best_ball(post, d, D)
     return max(1.0 - mass, 0.0), word
@@ -197,7 +245,9 @@ def distortion_map_decode(post: Posterior, d: DistortionMatrix,
     """Word whose distortion-D ball carries the largest posterior mass.
 
     Ties break to the lexicographically smallest word.  At D=0 with a
-    zero-diagonal distortion this is plain MAP decoding.
+    zero-diagonal distortion this is plain MAP decoding.  Candidates are
+    pruned by a group FFT for translation-invariant distortions and scored
+    exactly; see _best_ball.
     """
     return _best_ball(post, d, D)[1]
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .coding_scheme import (
     ControlCode,
@@ -565,6 +564,9 @@ def geometric_gof(block_counts: np.ndarray, prt_hat: float,
         return GofResult(statistic=0.0, df=0, pvalue=1.0, bins=len(obs))
     stat = float(((obs - exp) ** 2 / exp).sum())
     df = len(obs) - 2
+    # Imported on use: scipy.special is most of the cost of importing this
+    # package, and it loads numpy.fft with it.
+    from scipy.special import chdtrc
     return GofResult(statistic=stat, df=df,
                      pvalue=float(chdtrc(df, stat)), bins=len(obs))
 

@@ -5,6 +5,7 @@ oracle written here; ball-mass decisions are cross-checked against
 explicit enumeration.
 """
 
+import functools
 import itertools
 import math
 
@@ -13,6 +14,7 @@ import pytest
 
 from vlfjscc import (
     ChannelMatrix,
+    DistortionMatrix,
     EncoderMap,
     Pmf,
     Posterior,
@@ -22,11 +24,14 @@ from vlfjscc import (
     enumerate_words,
     hamming_distortion,
     min_tail_mass,
+    pairwise_distortion,
     posterior_trajectory,
     posterior_update,
     sequential_posterior,
     stopping_threshold_time,
+    word_index,
 )
+from vlfjscc import decoding
 
 
 def bsc(p: float) -> ChannelMatrix:
@@ -333,6 +338,226 @@ def test_map_decode_matches_argmax_on_random_posteriors():
         post = Posterior(3, 2, w)
         got = distortion_map_decode(post, d, 0.0)
         assert got == tuple(words[int(np.argmax(w))])
+
+
+# ----------------------------------------------------------------------
+# Ball-mass argmax against brute force
+# ----------------------------------------------------------------------
+
+def circulant(f) -> DistortionMatrix:
+    """d[a, b] = f((b - a) mod q)."""
+    q = len(f)
+    return DistortionMatrix([[f[(b - a) % q] for b in range(q)]
+                             for a in range(q)])
+
+
+# Translation-invariant and asymmetric, f(1) != f(q - 1): a ball mass
+# computed as a convolution instead of a correlation ranks centres
+# wrongly.  Dyadic entries keep every distortion exact.
+CIRCULANT3 = circulant([0.0, 1.0, 0.25])
+CIRCULANT4 = circulant([0.0, 0.5, 1.0, 1.75])
+# Not translation-invariant: d[0, 1] != d[1, 0].
+SKEWED2 = DistortionMatrix([[0.0, 1.0], [2.0, 0.0]])
+SKEWED3 = DistortionMatrix([[0.0, 0.5, 1.0], [0.25, 0.0, 2.0],
+                            [1.5, 0.75, 0.0]])
+DISTORTIONS = {"hamming2": hamming_distortion(2),
+               "hamming3": hamming_distortion(3), "circulant3": CIRCULANT3,
+               "circulant4": CIRCULANT4, "skewed2": SKEWED2,
+               "skewed3": SKEWED3}
+
+
+@functools.lru_cache(maxsize=None)
+def brute_distortions(name: str, length: int) -> np.ndarray:
+    """d(centre, word) for every pair, one distortion() call per pair."""
+    d = DISTORTIONS[name]
+    words = enumerate_words(d.alphabet_size, length)
+    return np.array([[distortion(d, c, w) for w in words] for c in words])
+
+
+def budgets(name: str, length: int) -> list[float]:
+    """0, an attained middle cell value, and d_max."""
+    cells = np.unique(brute_distortions(name, length))
+    return [0.0, float(cells[len(cells) // 2]), DISTORTIONS[name].d_max]
+
+
+def check_against_brute_force(post, name, D):
+    """min_tail_mass and distortion_map_decode against enumerated masses.
+
+    The value must match to rounding and the word must carry a largest
+    ball; when the best ball beats every other by more than rounding, the
+    word is that centre.
+    """
+    words = enumerate_words(post.base, post.length)
+    masses = (brute_distortions(name, post.length) <= D) @ post.weights
+    d = DISTORTIONS[name]
+    value, word = min_tail_mass(post, d, D)
+    assert distortion_map_decode(post, d, D) == word
+    assert value == pytest.approx(max(1.0 - masses.max(), 0.0), abs=1e-12)
+    assert masses[word_index(word, post.base)] >= masses.max() - 1e-12
+    ranked = np.sort(masses)
+    if len(masses) == 1 or ranked[-1] - ranked[-2] > 1e-9:
+        assert word == tuple(int(v) for v in words[int(np.argmax(masses))])
+
+
+def dirichlet_posteriors(base: int, length: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for alpha in (1.0, 0.2):
+        yield Posterior(base, length,
+                        rng.dirichlet(np.full(base ** length, alpha)))
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+@pytest.mark.parametrize("name", ["hamming2", "hamming3"])
+def test_ball_decisions_match_brute_force_hamming(name, length):
+    base = DISTORTIONS[name].alphabet_size
+    for post in dirichlet_posteriors(base, length, 100 * base + length):
+        for D in budgets(name, length):
+            check_against_brute_force(post, name, D)
+
+
+@pytest.mark.parametrize("name,length", [
+    ("circulant3", 2), ("circulant3", 4), ("circulant4", 3),
+    ("skewed2", 5), ("skewed3", 3)])
+def test_ball_decisions_match_brute_force_asymmetric(name, length):
+    base = DISTORTIONS[name].alphabet_size
+    for seed in range(4):
+        for post in dirichlet_posteriors(base, length, seed):
+            for D in budgets(name, length):
+                check_against_brute_force(post, name, D)
+
+
+@pytest.mark.parametrize("name", ["hamming2", "circulant4", "skewed2"])
+def test_flat_posterior_decodes_to_the_all_zero_word(name):
+    d = DISTORTIONS[name]
+    base = d.alphabet_size
+    length = 3 if base == 4 else 5
+    post = Posterior(base, length, np.full(base ** length,
+                                           float(base) ** -length))
+    for D in budgets(name, length):
+        assert distortion_map_decode(post, d, D) == (0,) * length
+
+
+def test_exact_ties_go_to_the_lowest_index():
+    """Posteriors symmetric under swapping the first two letters, with
+    dyadic weights, so swapped centres tie exactly under Hamming
+    distortion; FFT rounding alone would sometimes favour the higher
+    index of a tied pair."""
+    words = enumerate_words(3, 3)
+    swap = word_index(words[:, [1, 0, 2]], 3)
+    fixed = word_index((2, 2, 1), 3)
+    ties = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 64, size=27).astype(float)
+        counts += counts[swap]
+        counts[fixed] += 2.0 ** 12 - counts.sum()
+        if counts[fixed] <= 0:
+            continue
+        post = Posterior(3, 3, counts / 2.0 ** 12)
+        for D in (0.0, 1.0 / 3.0, 2.0 / 3.0):
+            masses = (brute_distortions("hamming3", 3) <= D) @ post.weights
+            ties += int(np.sum(masses == masses.max()) > 1)
+            word = distortion_map_decode(post, hamming_distortion(3), D)
+            assert word_index(word, 3) == int(np.argmax(masses))
+    assert ties >= 4
+
+
+def count_cells(monkeypatch) -> list:
+    """Record the cell count of every pairwise_distortion call of decoding."""
+    sizes = []
+
+    def counting(d, words_a, words_b):
+        block = pairwise_distortion(d, words_a, words_b)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(decoding, "pairwise_distortion", counting)
+    return sizes
+
+
+def test_workload_posterior_scores_a_few_rows(monkeypatch):
+    """Letter-cycle trajectory at N = 10 over BSC(0.1), prior (0.7, 0.3):
+    every decision matches a popcount oracle over all 2^N centres, while
+    the decoder computes at most 4 x 2^N distortion cells per call."""
+    length, D = 10, 0.2
+    rng = np.random.default_rng(4)
+    v = (rng.random(length) < 0.3).astype(int)
+    yn = [int(v[t % length] ^ (rng.random() < 0.1))
+          for t in range(2 * length)]
+    traj = posterior_trajectory(Pmf([0.7, 0.3]),
+                                EncoderMap.letter_cycle(2, length), yn,
+                                bsc(0.1))
+    idx = np.arange(2 ** length)
+    inside = np.bitwise_count(idx[:, None] ^ idx[None, :]) <= D * length
+    sizes = count_cells(monkeypatch)
+    for post in traj:
+        sizes.clear()
+        value, word = min_tail_mass(post, hamming_distortion(2), D)
+        masses = inside @ post.weights
+        assert value == pytest.approx(1.0 - masses.max(), abs=1e-12)
+        assert word_index(word, 2) == int(np.argmax(masses))
+        assert sum(sizes) <= 4 * 2 ** length
+
+
+@pytest.mark.parametrize("chunk_cells", [100, 1000])
+def test_scoring_blocks_stay_within_the_chunk(monkeypatch, chunk_cells):
+    """Every row of a non-invariant distortion is scored, in blocks of at
+    most max(1, SCORE_CHUNK_CELLS // |V|^N) rows."""
+    length = 8
+    monkeypatch.setattr(decoding, "SCORE_CHUNK_CELLS", chunk_cells)
+    sizes = count_cells(monkeypatch)
+    for post in dirichlet_posteriors(2, length, 8):
+        for D in budgets("skewed2", length):
+            sizes.clear()
+            check_against_brute_force(post, "skewed2", D)
+            assert sum(sizes) == 2 * 4 ** length
+            assert max(sizes) <= max(chunk_cells, 2 ** length)
+
+
+@pytest.mark.parametrize("d,why", [
+    (SKEWED2, "not translation-invariant"),
+    (hamming_distortion(2), "near flat")], ids=["skewed2", "flat-hamming2"])
+def test_scoring_past_the_cell_guard_fails_fast(monkeypatch, d, why):
+    """Just past MAX_SCORE_CELLS the call raises before scoring a block."""
+    length = 1
+    while 4 ** length <= decoding.MAX_SCORE_CELLS:
+        length += 1
+    post = Posterior(2, length, np.full(2 ** length, 0.5 ** length))
+    sizes = count_cells(monkeypatch)
+    with pytest.raises(ValueError, match=why) as err:
+        min_tail_mass(post, d, 0.2)
+    assert f"{2 ** length} source words" in str(err.value)
+    assert sum(sizes) <= 2 ** length
+
+
+def test_min_tail_mass_at_n16_matches_product_oracle():
+    """After 2N letter-cycle outputs the posterior is a product measure.
+    Under Hamming distortion the best centre is then the per-letter MAP
+    word and its tail is a Poisson-binomial upper tail, computed here by a
+    DP over positions.  The full table would be 2^32 cells."""
+    length, D, p = 16, 0.25, 0.1
+    prior = np.array([0.7, 0.3])
+    rng = np.random.default_rng(16)
+    v = (rng.random(length) < 0.3).astype(int)
+    yn = [int(v[t % length] ^ (rng.random() < p))
+          for t in range(2 * length)]
+    post = sequential_posterior(Pmf(prior), EncoderMap.letter_cycle(2, length),
+                                yn, bsc(p))
+    lik = np.array([[1 - p, p], [p, 1 - p]])
+    marg = prior * lik[:, yn[:length]].T * lik[:, yn[length:]].T
+    marg /= marg.sum(axis=1, keepdims=True)
+    assert np.abs(marg[:, 1] - 0.5).min() > 0.05
+    map_word = tuple(int(k) for k in marg.argmax(axis=1))
+    miss = marg.min(axis=1)
+    law = np.zeros(length + 1)
+    law[0] = 1.0
+    for q in miss:
+        law[1:] = law[1:] * (1 - q) + law[:-1] * q
+        law[0] *= 1 - q
+    tail = float(law[int(D * length) + 1:].sum())
+    value, word = min_tail_mass(post, hamming_distortion(2), D)
+    assert word == map_word
+    assert value == pytest.approx(tail, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

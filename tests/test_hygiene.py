@@ -1,13 +1,18 @@
-"""Every top-level import of a package module is used.
+"""Every top-level import of a package module is used, and no more loads.
 
 No linter runs over this repository, so this is the check that keeps
 dead imports out of ``src/vlfjscc``.  A name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in that module.
 ``__init__.py`` re-exports names and ``__future__`` imports bind nothing,
-so both are skipped.
+so both are skipped.  Modules that only some calls need (``numpy.fft``
+for the ball masses, ``scipy`` for the goodness-of-fit test) load on
+first use, so ``import vlfjscc`` stays fast.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +41,13 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def test_import_loads_neither_numpy_fft_nor_scipy():
+    probe = ("import sys, vlfjscc; "
+             "print(sorted(m for m in ('numpy.fft', 'scipy') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
