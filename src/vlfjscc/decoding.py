@@ -9,6 +9,7 @@ stopping times on posterior trajectories.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,10 +33,21 @@ MAX_CERTIFY_CELLS = 2 ** 22
 MAX_SCORE_CELLS = 2 ** 26
 # Cells of one scored block (centres times |V|**N), 32 MiB as float64.
 SCORE_CHUNK_CELLS = 2 ** 22
-# FFT ball masses within this of the largest are scored exactly.  It sits
-# far above the FFT rounding (below 1e-13 at N = 10) and far below any
-# real gap between distinct ball masses.
+# Transform ball masses within this of the largest are scored exactly.  It
+# sits far above the transform rounding (below 1e-13 at N = 10) and far
+# below any real gap between distinct ball masses.
 BALL_MASS_TOL = 1e-9
+# Entries kept by each of the word-table and ball-spectrum caches.  A
+# binary word table at N = 22, the posterior guard, is 92 MB.
+CACHE_ENTRIES = 4
+
+
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
+def _word_table(base: int, length: int) -> np.ndarray:
+    """enumerate_words(base, length), shared and read-only."""
+    words = enumerate_words(base, length)
+    words.flags.writeable = False
+    return words
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +147,7 @@ class EncoderMap:
 def posterior_update(prior: Posterior, enc: EncoderMap, step: int, history,
                      y: int, W: ChannelMatrix) -> Posterior:
     """One Bayes step: reweight by W(y | enc(step, v, history))."""
-    words = enumerate_words(prior.base, prior.length)
+    words = _word_table(prior.base, prior.length)
     x = enc.inputs_for_words(step, words, history)
     lik = W.matrix[x, int(y)]
     w = prior.weights * lik
@@ -177,6 +189,49 @@ def _is_translation_invariant(d: DistortionMatrix) -> bool:
     return bool((d.matrix[a, (a + np.arange(q)) % q] == d.matrix[0]).all())
 
 
+def _group_dft(x: np.ndarray, base: int, length: int,
+               inverse: bool = False) -> np.ndarray:
+    """DFT over the group Z_base^length of a flat vector in word order.
+
+    The base x base DFT matrix F, with the sign and scale of np.fft, is
+    applied along one axis of ``x.reshape((base,) * length)`` at a time:
+    each pass transforms the leading axis and moves it last, so after
+    ``length`` passes every axis is transformed and back in place.  F is
+    the real Walsh-Hadamard matrix for base 2.  The inverse applies
+    conj(F) / base.
+    """
+    if base == 2:
+        F = np.array([[1.0, 1.0], [1.0, -1.0]])
+    else:
+        k = np.arange(base)
+        F = np.exp(-2j * np.pi * np.outer(k, k) / base)
+    if inverse:
+        F = np.conj(F) / base
+    for _ in range(length):
+        x = (F @ x.reshape(base, -1)).T
+    return x.ravel()
+
+
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
+def _ball_spectrum(base: int, length: int, entries: tuple, D: float):
+    """conj of the group DFT of the ball-at-zero indicator, or None.
+
+    None when the distortion with these entries is not
+    translation-invariant, since its ball masses are then no correlation
+    over the group.
+    """
+    d = DistortionMatrix(entries)
+    if not _is_translation_invariant(d):
+        return None
+    words = _word_table(base, length)
+    ball = (pairwise_distortion(d, words[:1], words)[0] <= D).astype(float)
+    # conj: the centre is the first argument of d, so a ball mass is a
+    # correlation, mass(c) = sum_u post(c + u) ball(u).
+    spectrum = np.conj(_group_dft(ball, base, length))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
     """Largest distortion-D ball mass and its center; lexicographic ties.
 
@@ -185,24 +240,29 @@ def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
     the answer is the lowest-index centre of largest score.  Only centres
     that can win are scored.  For a translation-invariant distortion every
     ball mass is one cross-correlation over Z_q^N of the posterior with the
-    ball-at-zero indicator, so N-dimensional FFTs give all q^N masses to
-    rounding in O(N q^N log q); centres more than BALL_MASS_TOL below the
-    largest of them cannot win and are dropped.  For any other
-    distortion every centre is scored.  A near-flat posterior, such as a
-    uniform prior, leaves most centres within the tolerance and so still
-    costs |V|^{2N} cells; past MAX_SCORE_CELLS it is refused.
+    ball-at-zero indicator, so a forward and an inverse group DFT
+    (_group_dft, the q x q DFT matrix once per axis) give all q^N masses to
+    rounding in O(N q^(N+1)); centres more than BALL_MASS_TOL below the
+    largest of them cannot win and are dropped.  Each call then costs that
+    plus |V|^N distortion cells per kept centre.  For any other distortion
+    every centre is scored.  A near-flat posterior, such as a uniform
+    prior, leaves most centres within the tolerance and so still costs
+    |V|^{2N} cells; past MAX_SCORE_CELLS it is refused.
+
+    What does not depend on the posterior is cached, up to CACHE_ENTRIES
+    entries each: the read-only word table per (q, N), and per (q, N,
+    distortion entries, D) the translation-invariance test with the
+    conjugated spectrum of the ball-at-zero indicator.
     """
-    words = enumerate_words(post.base, post.length)
+    words = _word_table(post.base, post.length)
     n_words = len(words)
-    shape = (post.base,) * post.length
-    invariant = _is_translation_invariant(d)
+    spectrum = _ball_spectrum(post.base, post.length,
+                              tuple(map(tuple, d.matrix.tolist())), float(D))
+    invariant = spectrum is not None
     if invariant:
-        ball = pairwise_distortion(d, words[:1], words)[0] <= D
-        f_post = np.fft.fftn(post.weights.reshape(shape))
-        f_ball = np.fft.fftn(ball.reshape(shape))
-        # conj: the centre is the first argument of d, so this is a
-        # correlation, mass(c) = sum_u post(c + u) ball(u).
-        approx = np.fft.ifftn(f_post * np.conj(f_ball)).real.ravel()
+        f_post = _group_dft(post.weights, post.base, post.length)
+        approx = _group_dft(f_post * spectrum, post.base, post.length,
+                            inverse=True).real
         rows = np.flatnonzero(approx >= approx.max() - BALL_MASS_TOL)
     else:
         rows = np.arange(n_words)
@@ -222,7 +282,7 @@ def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
         block = pairwise_distortion(d, words[rows[lo:lo + step]], words)
         masses[lo:lo + step] = (block <= D) @ post.weights
     k = int(np.argmax(masses))
-    word = np.unravel_index(int(rows[k]), shape)
+    word = np.unravel_index(int(rows[k]), (post.base,) * post.length)
     return float(masses[k]), tuple(int(v) for v in word)
 
 
@@ -232,9 +292,10 @@ def min_tail_mass(post: Posterior, d: DistortionMatrix,
 
     Exact minimum over all candidates of the posterior mass outside the
     distortion-D ball; lexicographic tie-break.  For Hamming, Lee and any
-    other translation-invariant distortion a group FFT prunes the
-    candidates first, so only the centres that can win are scored
-    exactly; see _best_ball for the cost of a near-flat posterior.
+    other translation-invariant distortion a group DFT over Z_q^N, with
+    the ball's spectrum cached per (q, N, d, D), prunes the candidates
+    first, so only the centres that can win are scored exactly; see
+    _best_ball for the cost per call and of a near-flat posterior.
     """
     mass, word = _best_ball(post, d, D)
     return max(1.0 - mass, 0.0), word
@@ -246,7 +307,7 @@ def distortion_map_decode(post: Posterior, d: DistortionMatrix,
 
     Ties break to the lexicographically smallest word.  At D=0 with a
     zero-diagonal distortion this is plain MAP decoding.  Candidates are
-    pruned by a group FFT for translation-invariant distortions and scored
+    pruned by a group DFT for translation-invariant distortions and scored
     exactly; see _best_ball.
     """
     return _best_ball(post, d, D)[1]
@@ -282,7 +343,7 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
     if decoder is None:
         decoder = distortion_map_decode
 
-    words = enumerate_words(base, length)
+    words = _word_table(base, length)
     prior = [float(np.prod([P_V.probs[v] for v in w])) for w in words]
     # Ball membership by direct distortion calls.
     outside = [[distortion(d, v, w) > D for w in words] for v in words]

@@ -356,12 +356,15 @@ def circulant(f) -> DistortionMatrix:
 # wrongly.  Dyadic entries keep every distortion exact.
 CIRCULANT3 = circulant([0.0, 1.0, 0.25])
 CIRCULANT4 = circulant([0.0, 0.5, 1.0, 1.75])
+# Lee distortion on Z_4: the cyclic distance between letters.
+LEE4 = circulant([0.0, 1.0, 2.0, 1.0])
 # Not translation-invariant: d[0, 1] != d[1, 0].
 SKEWED2 = DistortionMatrix([[0.0, 1.0], [2.0, 0.0]])
 SKEWED3 = DistortionMatrix([[0.0, 0.5, 1.0], [0.25, 0.0, 2.0],
                             [1.5, 0.75, 0.0]])
 DISTORTIONS = {"hamming2": hamming_distortion(2),
                "hamming3": hamming_distortion(3), "circulant3": CIRCULANT3,
+               "hamming4": hamming_distortion(4), "lee4": LEE4,
                "circulant4": CIRCULANT4, "skewed2": SKEWED2,
                "skewed3": SKEWED3}
 
@@ -460,6 +463,66 @@ def test_exact_ties_go_to_the_lowest_index():
             word = distortion_map_decode(post, hamming_distortion(3), D)
             assert word_index(word, 3) == int(np.argmax(masses))
     assert ties >= 4
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+@pytest.mark.parametrize("base", [2, 3, 4])
+def test_group_dft_matches_fftn(base, length):
+    """The per-axis transform and its inverse against numpy.fft."""
+    shape = (base,) * length
+    for x in dirichlet_posteriors(base, length, 10 * base + length):
+        x = x.weights
+        f = decoding._group_dft(x, base, length)
+        assert np.abs(f - np.fft.fftn(x.reshape(shape)).ravel()).max() <= 1e-12
+        back = decoding._group_dft(f, base, length, inverse=True)
+        assert np.abs(back - np.fft.ifftn(f.reshape(shape)).ravel()).max() \
+            <= 1e-12
+        assert np.abs(back - x).max() <= 1e-12
+
+
+def test_ball_cache_keys_hold_the_budget_and_the_entries():
+    """One posterior, alternating two budgets and two invariant
+    distortions of the same alphabet: a cached ball spectrum keyed
+    without D or without the distortion's entries would rank centres by
+    another ball.  The four best centres differ, so such a stale entry
+    changes a decision."""
+    post = next(dirichlet_posteriors(4, 3, 0))
+    settings = [(name, D) for D in (1.0 / 3.0, 2.0 / 3.0)
+                for name in ("hamming4", "lee4")]
+    best = {int(np.argmax((brute_distortions(name, 3) <= D) @ post.weights))
+            for name, D in settings}
+    assert len(best) == len(settings)
+    decoding._ball_spectrum.cache_clear()
+    for _ in range(2):
+        for name, D in settings:
+            check_against_brute_force(post, name, D)
+
+
+def test_word_table_is_shared_and_read_only(monkeypatch):
+    """Updates, certification and the decoder read one cached table; the
+    public enumerate_words still returns a fresh, writable array."""
+    calls = []
+
+    def counting(base, length):
+        calls.append((base, length))
+        return enumerate_words(base, length)
+
+    monkeypatch.setattr(decoding, "enumerate_words", counting)
+    decoding._word_table.cache_clear()
+    enc = EncoderMap.letter_cycle(2, 3)
+    for _ in range(2):
+        traj = posterior_trajectory(Pmf([0.7, 0.3]), enc, [0, 1, 1, 0],
+                                    bsc(0.1))
+        stopping_threshold_time(traj, hamming_distortion(2), 1 / 3, 0.0)
+        certify_map_optimality(Pmf([0.7, 0.3]), enc, bsc(0.1),
+                               hamming_distortion(2), 1 / 3, 2)
+    assert calls == [(2, 3)]
+    table = decoding._word_table(2, 3)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    fresh = enumerate_words(2, 3)
+    fresh[0, 0] = 1
+    assert table[0, 0] == 0 and enumerate_words(2, 3)[0, 0] == 0
 
 
 def count_cells(monkeypatch) -> list:

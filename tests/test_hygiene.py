@@ -4,9 +4,10 @@ No linter runs over this repository, so this is the check that keeps
 dead imports out of ``src/vlfjscc``.  A name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in that module.
 ``__init__.py`` re-exports names and ``__future__`` imports bind nothing,
-so both are skipped.  Modules that only some calls need (``numpy.fft``
-for the ball masses, ``scipy`` for the goodness-of-fit test) load on
-first use, so ``import vlfjscc`` stays fast.
+so both are skipped.  ``scipy``, which only the goodness-of-fit test
+needs, loads on first use, so ``import vlfjscc`` stays fast; the ball
+masses of the converse decoder use no ``numpy.fft``, so a tail
+evaluation loads neither.
 """
 
 import ast
@@ -44,7 +45,11 @@ def test_every_top_level_import_is_used(path):
 
 
 def test_import_loads_neither_numpy_fft_nor_scipy():
-    probe = ("import sys, vlfjscc; "
+    """Neither the import nor a tail evaluation at q = 2, N = 6 loads them."""
+    probe = ("import sys, numpy, vlfjscc; "
+             "post = vlfjscc.Posterior(2, 6, numpy.arange(64) / 2016); "
+             "vlfjscc.min_tail_mass(post, vlfjscc.hamming_distortion(2), "
+             "0.2); "
              "print(sorted(m for m in ('numpy.fft', 'scipy') "
              "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
