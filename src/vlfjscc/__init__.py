@@ -20,6 +20,7 @@ from .probability import (
     kl_divergence,
     mutual_information,
     pairwise_distortion,
+    sample_channel,
     word_index,
 )
 from .numerics import (
@@ -78,7 +79,6 @@ from .simulation import (
     monte_carlo,
     rule_of_three,
     run_session,
-    sample_channel,
     wilson_interval,
 )
 

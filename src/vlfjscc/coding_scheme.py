@@ -23,6 +23,7 @@ from .probability import (
     DistortionMatrix,
     Pmf,
     pairwise_distortion,
+    sample_pmf_batch,
 )
 
 # Source index guard: M may not exceed this (memory predictability).
@@ -79,7 +80,7 @@ def build_source_code(P_V: Pmf, d: DistortionMatrix, point: RdPoint,
         raise ValueError("epsilon must be positive")
     M = _message_count(N, point.R, epsilon)
     marginal = point.output_marginal(P_V)
-    reps = rng.choice(len(marginal), size=(M, N), p=marginal.probs)
+    reps = sample_pmf_batch(marginal, (M, N), rng)
     return SourceCodebook(N=N, M=M, reproductions=reps, D=point.D, d=d)
 
 
@@ -144,7 +145,7 @@ def build_channel_codebook(caid: Pmf, length: int, M: int,
     """Every symbol i.i.d. from the capacity-achieving input distribution."""
     if M < 1:
         raise ValueError("need at least one message")
-    cw = rng.choice(len(caid), size=(M, length), p=caid.probs)
+    cw = sample_pmf_batch(caid, (M, length), rng)
     return ChannelCodebook(M=M, length=length, codewords=cw)
 
 
@@ -167,38 +168,25 @@ def _tie_exact_log(W: ChannelMatrix, length: int) -> np.ndarray:
     return logw
 
 
-def ml_decode_batch(codewords: np.ndarray, y: np.ndarray,
-                    W: ChannelMatrix) -> np.ndarray:
-    """Maximum-likelihood messages (1-based) for a batch of blocks.
+def ml_channel_decode(cb: ChannelCodebook, y, W: ChannelMatrix) -> int:
+    """Maximum-likelihood message (1-based); ties go to the smallest index.
 
-    ``codewords`` is (n, M, L), one codebook per block, and ``y`` is
-    (n, L).  Scores are summed in slabs of codewords to bound memory;
-    with tie-exact scores, ``argmax`` within a slab and the strict ``>``
+    Scores are summed in slabs of codewords to bound memory; with
+    tie-exact scores, ``argmax`` within a slab and the strict ``>``
     across slabs send every exact tie to the smallest index.
     """
-    n, M, L = codewords.shape
-    logw = _tie_exact_log(W, L)
-    rows = np.arange(n)
-    best = np.full(n, -np.inf)
-    decoded = np.ones(n, dtype=np.int64)
-    slab = max(1, (1 << 22) // max(1, n * L))
-    for lo in range(0, M, slab):
-        scores = logw[codewords[:, lo:lo + slab, :],
-                      y[:, np.newaxis, :]].sum(axis=2)
-        cand = scores.argmax(axis=1)
-        cand_score = scores[rows, cand]
-        better = cand_score > best
-        decoded[better] = cand[better] + lo + 1
-        best[better] = cand_score[better]
-    return decoded
-
-
-def ml_channel_decode(cb: ChannelCodebook, y, W: ChannelMatrix) -> int:
-    """Maximum-likelihood message (1-based); ties go to the smallest index."""
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (cb.length,):
         raise ValueError("output word length does not match the codebook")
-    return int(ml_decode_batch(cb.codewords[np.newaxis], y[np.newaxis], W)[0])
+    logw = _tie_exact_log(W, cb.length)
+    best, decoded = -np.inf, 1
+    slab = max(1, (1 << 22) // max(1, cb.length))
+    for lo in range(0, cb.M, slab):
+        scores = logw[cb.codewords[lo:lo + slab], y].sum(axis=1)
+        k = int(scores.argmax())
+        if scores[k] > best:
+            best, decoded = scores[k], lo + k + 1
+    return decoded
 
 
 @dataclass(frozen=True, eq=False)

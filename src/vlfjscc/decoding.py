@@ -37,6 +37,9 @@ SCORE_CHUNK_CELLS = 2 ** 22
 # sits far above the transform rounding (below 1e-13 at N = 10) and far
 # below any real gap between distinct ball masses.
 BALL_MASS_TOL = 1e-9
+# EncoderMap.random_table repeats every TABLE_STEP_PERIOD steps.
+TABLE_STEP_PERIOD = 8
+TABLE_HISTORY_CLASSES = 4
 # Entries kept by each of the word-table and ball-spectrum caches.  A
 # binary word table at N = 22, the posterior guard, is 92 MB.
 CACHE_ENTRIES = 4
@@ -126,21 +129,20 @@ class EncoderMap:
 
     @classmethod
     def random_table(cls, base: int, word_length: int, num_inputs: int,
-                     rng: np.random.Generator, step_period: int = 8,
-                     history_classes: int = 4) -> "EncoderMap":
+                     rng: np.random.Generator) -> "EncoderMap":
         """Seeded pseudo-random causal encoder.
 
-        History enters through the sum of past outputs modulo a small
-        class count, so the rule is history-dependent yet stays total on
-        arbitrarily long histories.
+        History enters through the sum of past outputs modulo
+        TABLE_HISTORY_CLASSES, so the rule is history-dependent yet stays
+        total on arbitrarily long histories.
         """
         table = rng.integers(
-            0, num_inputs,
-            size=(step_period, base ** word_length, history_classes))
+            0, num_inputs, size=(TABLE_STEP_PERIOD, base ** word_length,
+                                 TABLE_HISTORY_CLASSES))
 
         def fn(step, words, history):
-            return table[step % step_period, word_index(words, base),
-                         sum(history) % history_classes]
+            return table[step % TABLE_STEP_PERIOD, word_index(words, base),
+                         sum(history) % TABLE_HISTORY_CLASSES]
         return cls(fn, num_inputs, word_length)
 
 
@@ -344,40 +346,36 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
         decoder = distortion_map_decode
 
     words = _word_table(base, length)
-    prior = [float(np.prod([P_V.probs[v] for v in w])) for w in words]
-    # Ball membership by direct distortion calls.
-    outside = [[distortion(d, v, w) > D for w in words] for v in words]
+    prior = Posterior.from_prior(P_V, length).weights
+    # outside[c, v] = 1 where d(c, v) > D: the word-distortion rule itself,
+    # not the decoder's kernels, one centre at a time to bound memory.
+    outside = np.array([distortion(d, c, words) > D for c in words], float)
 
     max_violation = 0.0
     worst = None
     excess_total = 0.0
-    checked = 0
     skipped = 0
     for yn in itertools.product(range(W.num_outputs), repeat=n):
-        joint = np.array(prior)
+        joint = prior.copy()
         for step in range(n):
             x = enc.inputs_for_words(step, words, yn[:step])
             joint *= W.matrix[x, yn[step]]
-        joint = joint.tolist()
-        evidence = sum(joint)
-        checked += 1
+        evidence = float(joint.sum())
         if evidence <= 0.0:
             skipped += 1
             continue
-        post_w = [p / evidence for p in joint]
-        tails = [sum(pw for pw, out in zip(post_w, outs) if out)
-                 for outs in outside]
-        best = min(tails)
-        decided = decoder(Posterior(base, length, np.array(post_w)), d, D)
-        dec_tail = tails[word_index(decided, base)]
-        violation = dec_tail - best
+        post = joint / evidence
+        tails = outside @ post
+        decided = decoder(Posterior(base, length, post), d, D)
+        dec_tail = float(tails[word_index(decided, base)])
+        violation = dec_tail - float(tails.min())
         if violation > max_violation:
             max_violation = violation
             worst = yn
         excess_total += evidence * dec_tail
     return CertificationReport(max_violation=max_violation, worst_output=worst,
                                excess_probability=excess_total,
-                               outputs_checked=checked,
+                               outputs_checked=W.num_outputs ** n,
                                zero_probability_outputs=skipped)
 
 

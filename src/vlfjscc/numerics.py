@@ -27,6 +27,14 @@ from .probability import (
 )
 
 
+# Iteration caps of capacity and of one Blahut solve, the certified rate
+# gap of rate_distortion, and the resolution of the Marton simplex grid.
+CAPACITY_MAX_ITER = 100_000
+BLAHUT_MAX_ITER = 20_000
+RD_TOL = 1e-9
+MARTON_GRID = 200
+
+
 class SolverConvergenceError(RuntimeError):
     """Raised when an iterative solver hits its iteration cap.
 
@@ -67,8 +75,7 @@ class ConverseBound:
     exponent_upper: float
 
 
-def capacity(W: ChannelMatrix, tol: float = 1e-9,
-             max_iter: int = 100_000) -> tuple[float, Pmf]:
+def capacity(W: ChannelMatrix, tol: float = 1e-9) -> tuple[float, Pmf]:
     """Channel capacity in nats with a duality-gap stopping certificate.
 
     Returns (C, caid).  The certificate max_x D(W(.|x) || q) - I <= tol
@@ -78,7 +85,7 @@ def capacity(W: ChannelMatrix, tol: float = 1e-9,
     nx = W.num_inputs
     px = np.full(nx, 1.0 / nx)
     best_val, best_px = 0.0, px.copy()
-    for _ in range(max_iter):
+    for _ in range(CAPACITY_MAX_ITER):
         # The derived output law stays unclipped: a clipped q would give
         # every row with mass on a tiny q entry div = inf, then inf - inf.
         div = _divergences(P, px @ P)
@@ -91,7 +98,8 @@ def capacity(W: ChannelMatrix, tol: float = 1e-9,
         px = px * np.exp(div - div.max())
         px = px / px.sum()
     raise SolverConvergenceError(
-        f"capacity solver failed to certify gap <= {tol} in {max_iter} iterations",
+        f"capacity solver failed to certify gap <= {tol} in "
+        f"{CAPACITY_MAX_ITER} iterations",
         best_val, Pmf(best_px))
 
 
@@ -103,7 +111,7 @@ _WARM_FLOOR = 1e-6
 
 
 def _alternating_min(q: np.ndarray, kernel: np.ndarray, tol: float,
-                     r0: np.ndarray | None = None, max_iter: int = 20_000):
+                     r0: np.ndarray | None = None):
     """Blahut-style alternating minimization of I(q, P) over P ~ r * kernel.
 
     Alternates P[v, :] proportional to r * kernel[v, :] with r = q @ P,
@@ -116,7 +124,7 @@ def _alternating_min(q: np.ndarray, kernel: np.ndarray, tol: float,
     q_act, k_act = q[active], kernel[active]
     nv = kernel.shape[1]
     r = np.full(nv, 1.0 / nv) if r0 is None else r0
-    for _ in range(max_iter):
+    for _ in range(BLAHUT_MAX_ITER):
         A = r[None, :] * k_act
         r_new = q_act @ (A / A.sum(axis=1, keepdims=True))
         if np.abs(r_new - r).max() <= tol:
@@ -148,13 +156,12 @@ def _rd_inner(q: np.ndarray, dmat: np.ndarray, beta: float,
     return P, float((q[:, None] * P * dmat).sum()), rate
 
 
-def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
-                    tol: float = 1e-9) -> RdPoint:
+def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float) -> RdPoint:
     """R(Q, D) in nats via Lagrangian bisection on the slope.
 
-    The returned test channel is feasible (E[d] <= D + tol); the rate is
-    bracketed between a feasible upper value and the best dual lower value
-    to within tol.
+    The returned test channel is feasible (E[d] <= D + RD_TOL); the rate
+    is bracketed between a feasible upper value and the best dual lower
+    value to within RD_TOL.
     """
     if len(Q) != d.alphabet_size:
         raise ValueError("source pmf does not match distortion alphabet")
@@ -200,7 +207,7 @@ def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
     upper, P_up, beta_up = rate_hi, P_hi, beta_hi
     P_m = P_hi
     for _ in range(300):
-        if upper - best_lower <= tol:
+        if upper - best_lower <= RD_TOL:
             break
         beta_mid = 0.5 * (beta_lo + beta_hi)
         P_m, dist_m, rate_m = _rd_inner(q, dmat, beta_mid, P_m)
@@ -211,16 +218,16 @@ def rate_distortion(Q: Pmf, d: DistortionMatrix, D: float,
                 upper, P_up, beta_up = rate_m, P_m, beta_mid
         else:
             beta_lo = beta_mid
-    R = 0.5 * (upper + best_lower) if upper - best_lower <= tol else upper
+    R = 0.5 * (upper + best_lower) if upper - best_lower <= RD_TOL else upper
     return RdPoint(D=D, R=max(R, 0.0), test_channel=P_up, lagrange_slope=-beta_up)
 
 
-def rd_curve(Q: Pmf, d: DistortionMatrix, D_grid, tol: float = 1e-9) -> list[RdPoint]:
+def rd_curve(Q: Pmf, d: DistortionMatrix, D_grid) -> list[RdPoint]:
     """Rate-distortion points over a sorted grid of budgets."""
     grid = list(D_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("distortion grid must be sorted ascending")
-    return [rate_distortion(Q, d, float(D), tol=tol) for D in grid]
+    return [rate_distortion(Q, d, float(D)) for D in grid]
 
 
 def _simplex_grid(dim: int, resolution: int):
@@ -231,13 +238,13 @@ def _simplex_grid(dim: int, resolution: int):
         yield counts / resolution
 
 
-def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
+def marton_exponent(P_V: Pmf, R: float, D: float,
                     d: DistortionMatrix | None = None) -> float:
     """Covering exponent: inf D(Q || P_V) over sources Q with R(Q, D) > R.
 
-    Grid scan over the simplex (the strict constraint is relaxed to
-    R(Q, D) >= R + 1e-9) followed by local refinement around the grid
-    minimizer.  Returns +inf when the constraint set is empty.  The
+    Scan of the simplex grid of step 1/MARTON_GRID (the strict constraint
+    relaxed to R(Q, D) >= R + 1e-9), then local refinement around the
+    grid minimizer.  Returns +inf when the constraint set is empty.  The
     distortion measure defaults to Hamming on the source alphabet.
     """
     if R < 0:
@@ -250,7 +257,7 @@ def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
 
     def rd_value(qv: np.ndarray) -> float:
         try:
-            return rate_distortion(Pmf(qv), d, D, tol=1e-9).R
+            return rate_distortion(Pmf(qv), d, D).R
         except ValueError:
             return -math.inf
 
@@ -260,8 +267,8 @@ def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
     if R >= math.log(nv) - 1e-12:
         return math.inf
 
-    if grid_resolution ** (nv - 1) > 2_000_000:
-        raise ValueError("simplex grid too large; lower grid_resolution or |V|")
+    if MARTON_GRID ** (nv - 1) > 2_000_000:
+        raise ValueError(f"simplex grid too large for |V| = {nv}")
 
     def scan(points) -> tuple[float, np.ndarray | None, float, np.ndarray | None]:
         best_val, best_q = math.inf, None
@@ -276,7 +283,7 @@ def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
                     best_val, best_q = val, qv.copy()
         return best_val, best_q, best_rate, best_rate_q
 
-    coarse = _simplex_grid(nv, grid_resolution)
+    coarse = _simplex_grid(nv, MARTON_GRID)
     best_val, best_q, best_rate, best_rate_q = scan(coarse)
 
     center = best_q if best_q is not None else best_rate_q
@@ -284,7 +291,7 @@ def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
         return math.inf
 
     # Local refinement: shrink a window around the incumbent.
-    width = 1.0 / grid_resolution
+    width = 1.0 / MARTON_GRID
     sub = 12
     for _ in range(4):
         pts = []
@@ -310,15 +317,14 @@ def marton_exponent(P_V: Pmf, R: float, D: float, grid_resolution: int = 200,
     return best_val
 
 
-def random_coding_exponent(W: ChannelMatrix, rate: float,
-                           capacity_tol: float = 1e-9) -> float:
+def random_coding_exponent(W: ChannelMatrix, rate: float) -> float:
     """Random-coding error exponent at the capacity-achieving input.
 
     max over rho in [0, 1] of E0(rho) - rho * rate, clipped at zero.
     """
     if rate < 0:
         raise ValueError("rate must be nonnegative")
-    _, caid = capacity(W, tol=capacity_tol)
+    _, caid = capacity(W)
     p = caid.probs
     P = W.matrix
 
@@ -368,15 +374,15 @@ def reliability_from_parts(B: float, C: float, R_D: float) -> float:
 
 
 def reliability_function(P_V: Pmf, W: ChannelMatrix, d: DistortionMatrix,
-                         D: float, tol: float = 1e-9) -> float:
+                         D: float) -> float:
     """Excess-distortion exponent ceiling max{0, B (1 - R(D)/C)} in nats.
 
     Degenerate regimes emit a warning: zero capacity with positive R(D)
     (communication impossible), and infinite B with R(D) < C (outside the
     finite-divergence hypothesis).
     """
-    params = channel_params(W, capacity_tol=tol)
-    rd = rate_distortion(P_V, d, D, tol=tol)
+    params = channel_params(W)
+    rd = rate_distortion(P_V, d, D)
     if params.C <= 0.0 and rd.R > 0.0:
         warnings.warn("zero-capacity channel with positive R(D): "
                       "communication impossible, ceiling is 0", RuntimeWarning)
@@ -388,8 +394,8 @@ def reliability_function(P_V: Pmf, W: ChannelMatrix, d: DistortionMatrix,
 
 
 def converse_delay_bound(P_V: Pmf, W: ChannelMatrix, d: DistortionMatrix,
-                         D: float, Pd_target: float, N: int,
-                         tol: float = 1e-9) -> ConverseBound:
+                         D: float, Pd_target: float,
+                         N: int) -> ConverseBound:
     """Expected-delay lower bound for hitting an excess probability target.
 
     Etau_lower = (1 - delta_N) N R(D) / C - ln(Pd) / B
@@ -401,8 +407,8 @@ def converse_delay_bound(P_V: Pmf, W: ChannelMatrix, d: DistortionMatrix,
         raise ValueError("Pd_target must lie strictly between 0 and 1")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    params = channel_params(W, capacity_tol=tol)
-    rd = rate_distortion(P_V, d, D, tol=tol)
+    params = channel_params(W)
+    rd = rate_distortion(P_V, d, D)
 
     neg_log_pd = -math.log(Pd_target)
     lam_delta = 1.0 / neg_log_pd

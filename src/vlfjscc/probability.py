@@ -1,8 +1,13 @@
 """Finite-alphabet probability primitives and distortion geometry.
 
 Distributions, channel matrices, information measures (all in nats), the
-channel parameter triple (B, lambda, C), per-letter distortion, and
-distortion balls over word alphabets.
+channel parameter triple (B, lambda, C), letter sampling, word
+distortion, and distortion balls over word alphabets.
+
+One rule each: a letter inverts the CDF (last entry exactly 1) at one
+uniform, as ``Generator.choice(p=)`` does; a word distortion sums the
+per-letter distortions in position order, then divides by N, so every
+excess decision d(v, vhat) > D comes out the same wherever it is made.
 
 Conventions used throughout: natural logarithms, 0 * log 0 = 0, and
 alpha / 0 = +inf for alpha >= 0.  Every relative entropy, and every
@@ -194,7 +199,32 @@ def symbol_llr(W: ChannelMatrix, x0: int, x0_prime: int) -> np.ndarray:
                      for p, q in zip(W.matrix[x0], W.matrix[x0_prime])])
 
 
-def channel_params(W: ChannelMatrix, capacity_tol: float = 1e-9) -> ChannelParams:
+def _inverse_cdf(probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Letter per uniform u: CDF entries (last set to 1) at or below u."""
+    cum = np.cumsum(probs, axis=-1)
+    letters = np.zeros(u.shape, dtype=np.int64)
+    for k in range(cum.shape[-1] - 1):  # the last entry, 1, exceeds every u
+        letters += cum[..., k][rows] <= u
+    return letters
+
+
+def sample_pmf_batch(p: Pmf, shape, rng: np.random.Generator) -> np.ndarray:
+    """Letters i.i.d. from p, as int8, one uniform of rng each."""
+    return _inverse_cdf(p.probs, ..., rng.random(shape)).astype(np.int8)
+
+
+def sample_channel_batch(W: ChannelMatrix, x: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Independent channel uses for an array of inputs (any shape)."""
+    return _inverse_cdf(W.matrix, x, rng.random(x.shape))
+
+
+def sample_channel(W: ChannelMatrix, x: int, rng: np.random.Generator) -> int:
+    """One channel use: output ~ W(.|x)."""
+    return int(sample_channel_batch(W, np.array([int(x)]), rng)[0])
+
+
+def channel_params(W: ChannelMatrix) -> ChannelParams:
     """Compute the (B, lambda, C) triple plus the B-achieving input pair.
 
     Raises if the channel has dead output columns or a degenerate output
@@ -213,7 +243,7 @@ def channel_params(W: ChannelMatrix, capacity_tol: float = 1e-9) -> ChannelParam
     pair = tuple(int(i) for i in np.unravel_index(np.argmax(div), div.shape))
     B, B_rev = float(div[pair]), float(div[pair[::-1]])
 
-    C, caid = capacity(W, tol=capacity_tol)
+    C, caid = capacity(W)
 
     if math.isfinite(B) and not (0.0 < lam <= 0.5):
         raise ValueError(
@@ -228,13 +258,19 @@ def channel_params(W: ChannelMatrix, capacity_tol: float = 1e-9) -> ChannelParam
                          x0_prime=pair[1], B_reverse=B_rev, llr=llr)
 
 
-def distortion(d: DistortionMatrix, v, vhat) -> float:
-    """Per-letter average distortion between two equal-length words."""
-    a = np.asarray(v, dtype=np.int64)
-    b = np.asarray(vhat, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+def distortion(d: DistortionMatrix, v, vhat):
+    """Word distortion: per-letter distortions summed in position order, / N.
+
+    One word each gives a float; word arrays (positions last) broadcast
+    and give an array.  ``cumsum`` sums in order, as
+    ``pairwise_distortion`` does.
+    """
+    a, b = np.asarray(v), np.asarray(vhat)
+    n = a.shape[-1] if a.ndim else 0
+    if n == 0 or b.shape[-1:] != (n,):
         raise ValueError("words must be non-empty and of equal length")
-    return float(d.matrix[a, b].mean())
+    total = d.matrix[a, b].cumsum(axis=-1)[..., -1] / n
+    return float(total) if total.ndim == 0 else total
 
 
 def enumerate_words(base: int, length: int) -> np.ndarray:
@@ -268,8 +304,8 @@ def pairwise_distortion(d: DistortionMatrix, words_a: np.ndarray,
                         words_b: np.ndarray) -> np.ndarray:
     """Matrix of per-letter distortions between two word lists.
 
-    Entry (i, j) is the mean over positions of d(a_i[pos], b_j[pos]),
-    summed in position order.  Per position the (|V|, len(b)) table
+    Entry (i, j) is ``distortion(d, a_i, b_j)``, bit for bit: the same
+    sum in position order.  Per position the (|V|, len(b)) table
     d[:, b[:, pos]] is gathered once and its rows are taken at a[:, pos].
     """
     a = np.asarray(words_a, dtype=np.intp)
@@ -285,8 +321,6 @@ def distortion_ball(d: DistortionMatrix, v, D: float) -> np.ndarray:
     """All words within average distortion D of v, in lexicographic order."""
     if D < 0:
         raise ValueError("distortion radius must be nonnegative")
-    center = np.asarray(v, dtype=np.int64)
-    base = d.alphabet_size
-    words = enumerate_words(base, center.size)
-    dist = pairwise_distortion(d, center[None, :], words)[0]
+    words = enumerate_words(d.alphabet_size, np.size(v))
+    dist = pairwise_distortion(d, np.asarray(v)[np.newaxis], words)[0]
     return words[dist <= D]

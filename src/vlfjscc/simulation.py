@@ -15,7 +15,8 @@ finite-support law that depends on y only through its output type; the
 kernel builds that law once per type (exact tie-preserving sums), draws
 the best competitor score from F**(M-1), and the first competitor
 attaining it from a truncated geometric, so exact ties still go to the
-lowest index.
+lowest index.  Both engines draw letters and decide excess,
+d(v, vhat) > D, by ``probability``'s rules, which the codes obey too.
 
 Estimator conventions: prt_hat and pe_hat are pooled per-block
 frequencies over every transmitted block (retransmission rounds
@@ -55,11 +56,14 @@ from .probability import (
     Pmf,
     channel_params,
     distortion,
+    sample_channel_batch,
+    sample_pmf_batch,
 )
 
 DEFAULT_SESSION_CAP = 10_000
 CHUNK_TRIALS = 2048
 _Z95 = 1.959963984540054
+GOF_MIN_EXPECTED = 5.0
 
 
 class SessionCapExceeded(RuntimeError):
@@ -105,31 +109,6 @@ class RngSpec:
         key = tuple(_encode_label(l) for l in self.labels + labels)
         seq = np.random.SeedSequence(self.master_seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(seq))
-
-
-# ----------------------------------------------------------------------
-# Channel sampling
-# ----------------------------------------------------------------------
-
-def sample_channel(W: ChannelMatrix, x: int, rng: np.random.Generator) -> int:
-    """One channel use: output ~ W(.|x)."""
-    return int(sample_channel_batch(W, np.array([int(x)]), rng)[0])
-
-
-def sample_channel_batch(W: ChannelMatrix, x: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Independent channel uses for an array of inputs (any shape)."""
-    cum = W.matrix.cumsum(axis=1)
-    cum[:, -1] = 1.0
-    u = rng.random(x.shape)
-    return (cum[x] <= u[..., np.newaxis]).sum(axis=-1).astype(np.int64)
-
-
-def sample_pmf_batch(p: Pmf, shape, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(p.probs)
-    cum[-1] = 1.0
-    u = rng.random(shape)
-    return (cum <= u[..., np.newaxis]).sum(axis=-1).astype(np.int8)
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +196,6 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     decision through the fed-back outputs), and stops at the first
     accepted control block.
     """
-    d = codes.source.d
     if source_word is None:
         v = sample_pmf_batch(P_V, (cfg.N,), rng)
     else:
@@ -230,7 +208,7 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
         y_msg = sample_channel_batch(W, x_msg, rng)
         decoded = ml_channel_decode(codebook, y_msg, W)
         vhat = codes.source.reproductions[decoded - 1]
-        dist = distortion(d, v, vhat)
+        dist = distortion(codes.source.d, v, vhat)
         send_c = dist <= codes.source.D
         x_ctrl = codes.control.x_c if send_c else codes.control.x_e
         y_ctrl = sample_channel_batch(W, x_ctrl, rng)
@@ -265,7 +243,7 @@ class _MessagePhase:
     """ML decisions of fresh random codebooks, drawn in law.
 
     The method is in the module docstring.  Exact ties go to the lower
-    index, as in ``coding_scheme.ml_decode_batch``.  Score laws are
+    index, as in ``coding_scheme.ml_channel_decode``.  Score laws are
     memoized by output type, so an instance serves one configuration
     (one ``monte_carlo`` call).
     """
@@ -363,10 +341,7 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
                     n_trials: int, rng: np.random.Generator,
                     session_cap: int, trial_offset: int,
                     message_phase: _MessagePhase) -> _ChunkResult:
-    W = model.W
-    d = model.d
     D = codes.source.D
-    reps = codes.source.reproductions
 
     v = sample_pmf_batch(model.P_V, (n_trials, cfg.N), rng)
     msg = source_encode_batch(codes.source, v)
@@ -383,13 +358,13 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
         if n_act == 0:
             break
         decoded = message_phase.decide(msg[alive], rng)
-        vhat = reps[decoded - 1]
-        dist = d.matrix[v[alive], vhat].mean(axis=1)
+        dist = distortion(model.d, v[alive],
+                          codes.source.reproductions[decoded - 1])
         send_c = dist <= D
 
         sent = np.where(send_c[:, np.newaxis], codes.control.x_c,
                         codes.control.x_e)
-        y_ctrl = sample_channel_batch(W, sent, rng)
+        y_ctrl = sample_channel_batch(model.W, sent, rng)
         heard_c = control_decode_batch(codes.control, y_ctrl)
 
         blocks_total += n_act
@@ -413,16 +388,15 @@ def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
 # Estimation
 # ----------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials
-                         + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + _Z95 * _Z95 / trials
+    center = (p + _Z95 * _Z95 / (2 * trials)) / denom
+    half = _Z95 * math.sqrt(p * (1 - p) / trials
+                            + _Z95 * _Z95 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -524,12 +498,11 @@ class GofResult:
     bins: int
 
 
-def geometric_gof(block_counts: np.ndarray, prt_hat: float,
-                  min_expected: float = 5.0) -> GofResult:
+def geometric_gof(block_counts: np.ndarray, prt_hat: float) -> GofResult:
     """Chi-square fit of session block counts against Geometric(1-prt_hat).
 
     Tail categories are merged until each bin's expected count reaches
-    min_expected; one degree of freedom is charged for the estimated
+    GOF_MIN_EXPECTED; one degree of freedom is charged for the estimated
     parameter.
     """
     counts = np.asarray(block_counts, dtype=np.float64)
@@ -544,7 +517,7 @@ def geometric_gof(block_counts: np.ndarray, prt_hat: float,
     for k in range(1, len(counts)):
         acc_obs += counts[k]
         acc_exp += total * (1 - p) * p ** (k - 1)
-        if acc_exp >= min_expected:
+        if acc_exp >= GOF_MIN_EXPECTED:
             obs_bins.append(acc_obs)
             exp_bins.append(acc_exp)
             acc_obs = 0.0
@@ -552,7 +525,7 @@ def geometric_gof(block_counts: np.ndarray, prt_hat: float,
     # Open tail bin: everything at or beyond the last boundary.
     tail_exp = total - sum(exp_bins)
     tail_obs = total - sum(obs_bins)
-    if exp_bins and tail_exp < min_expected:
+    if exp_bins and tail_exp < GOF_MIN_EXPECTED:
         exp_bins[-1] += tail_exp
         obs_bins[-1] += tail_obs
     else:

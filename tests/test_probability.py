@@ -383,6 +383,24 @@ def test_pairwise_distortion_orientation_with_asymmetric_distortion():
     assert not np.array_equal(got, pairwise_distortion(ASYM3, b, a).T)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_distortion_is_pairwise_distortion_bit_for_bit(q):
+    # Decimal entries make the word sum depend on summation order, and
+    # N runs past 8, beyond which numpy's mean no longer sums in order.
+    # distortion, for one pair, for equal-shaped rows and for broadcast
+    # pairs, must still equal the all-pairs kernel exactly.
+    rng = np.random.default_rng(100 + q)
+    d = DistortionMatrix(rng.integers(0, 100, size=(q, q)) / 10.0)
+    for N in range(1, 25):
+        a = rng.integers(0, q, size=(40, N))
+        b = rng.integers(0, q, size=(30, N))
+        want = pairwise_distortion(d, a, b)
+        assert np.array_equal(distortion(d, a[:, np.newaxis], b), want)
+        assert np.array_equal(distortion(d, a[:30], b), np.diagonal(want))
+        assert distortion(d, a[3], b[4]) == want[3, 4]
+        assert type(distortion(d, a[3], b[4])) is float
+
+
 @pytest.mark.parametrize("center", [(0, 0, 0, 0), (2, 1, 0, 2), (1, 2, 2, 1)])
 @pytest.mark.parametrize("D", [0.0, 0.25, 0.5, 0.8125])
 def test_distortion_ball_asymmetric_matches_brute_force(center, D):

@@ -37,7 +37,8 @@ from vlfjscc import (
 )
 from vlfjscc import coding_scheme
 from vlfjscc.coding_scheme import control_decode_batch, source_encode_batch
-from vlfjscc.probability import symbol_llr
+from vlfjscc.numerics import RdPoint
+from vlfjscc.probability import sample_pmf_batch, symbol_llr
 
 # ----------------------------------------------------------------------
 # Oracles
@@ -300,6 +301,28 @@ def test_codebook_seeded_reproducibility():
     a = build_channel_codebook(Pmf([0.5, 0.5]), 6, 4, np.random.default_rng(9))
     b = build_channel_codebook(Pmf([0.5, 0.5]), 6, 4, np.random.default_rng(9))
     assert np.array_equal(a.codewords, b.codewords)
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.5], [0.1] * 10, [0.2, 0.0, 0.8],
+                                   [1 / 3] * 3])
+def test_codebooks_draw_through_the_shared_letter_sampler(probs):
+    # Same letters, and the generator left in the same state, as
+    # sample_pmf_batch on a generator with the same seed.
+    pmf = Pmf(probs)
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    cb = build_channel_codebook(pmf, 7, 50, rng)
+    assert np.array_equal(cb.codewords, sample_pmf_batch(pmf, (50, 7), ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    q = len(probs)
+    point = RdPoint(D=0.5, R=0.01, test_channel=np.tile(pmf.probs, (q, 1)),
+                    lagrange_slope=-1.0)
+    src = build_source_code(Pmf([1.0] * q), hamming_distortion(q), point,
+                            0.1, 9, rng)
+    want = sample_pmf_batch(point.output_marginal(Pmf([1.0] * q)),
+                            (src.M, 9), ref)
+    assert np.array_equal(src.reproductions, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_codebook_symbol_frequencies_multinomial():

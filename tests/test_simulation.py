@@ -25,6 +25,7 @@ import vlfjscc
 from vlfjscc import (
     ChannelCodebook,
     ChannelMatrix,
+    CodeSet,
     ControlCode,
     DistortionMatrix,
     Pmf,
@@ -44,16 +45,19 @@ from vlfjscc import (
     geometric_gof,
     hamming_distortion,
     monte_carlo,
+    pairwise_distortion,
     rate_distortion,
     reliability_function,
     rule_of_three,
     run_session,
     sample_channel,
+    source_encode,
     wilson_interval,
 )
 from vlfjscc.simulation import (
     _MessagePhase,
     _encode_label,
+    _simulate_chunk,
     sample_channel_batch,
     sample_pmf_batch,
 )
@@ -281,6 +285,68 @@ def test_run_session_uncoverable_word_hits_cap():
     assert exc.value.cap == 5
     assert exc.value.trial_index == 0
     assert "5 blocks" in str(exc.value)
+
+
+# A word pair at the D boundary.  With decimal entries and N = 9 the word
+# sum depends on summation order: in position order d(v, vhat) is exactly
+# BOUNDARY_RADIUS, while numpy's pairwise-summed mean is one ulp above it.
+BOUNDARY_D = DistortionMatrix([[0.0, 0.9, 0.1], [0.8, 0.0, 0.3],
+                               [1.0, 0.8, 0.0]])
+BOUNDARY_V = (0, 1, 0, 0, 1, 1, 0, 1, 2)
+BOUNDARY_VHAT = (0, 2, 1, 0, 0, 1, 1, 2, 2)
+BOUNDARY_RADIUS = 0.3555555555555555
+
+
+def test_run_session_confirms_a_word_covered_at_the_d_boundary():
+    # The encoder covers v with reproduction 2, so over a noiseless
+    # channel the session must send c and stop without excess, not send e
+    # until the cap.
+    noiseless = ChannelMatrix(np.eye(3))
+    params = channel_params(noiseless)
+    source = SourceCodebook(N=9, M=2,
+                            reproductions=[(1,) * 9, BOUNDARY_VHAT],
+                            D=BOUNDARY_RADIUS, d=BOUNDARY_D)
+    assert source_encode(source, BOUNDARY_V) == 2
+    cfg = SchemeConfig(N=9, epsilon=0.1, gamma=0.6, delta_ctrl=0.5, M=2,
+                       msg_len=6, ctrl_len=3, R_D=0.0, C=math.log(3.0),
+                       master_seed=0)
+    codes = CodeSet(source=source, control=build_control_code(params, 3, 0.5),
+                    caid=params.caid)
+    rec = run_session(cfg, codes, noiseless, Pmf([1.0, 1.0, 1.0]),
+                      np.random.default_rng(0), session_cap=20,
+                      source_word=BOUNDARY_V)
+    assert not rec.excess
+    assert rec.realized_distortion == BOUNDARY_RADIUS
+    assert rec.control_history[-1] == "c"
+
+
+def test_batch_engine_excess_is_the_encoders_cover_verdict():
+    # One reproduction (M = 1), so every block decodes it: a session stops
+    # with excess exactly when the encoder's kernel leaves its word
+    # uncovered, whatever the channel does to the control blocks.
+    W = ChannelMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    model = SystemModel.build(Pmf([1.0, 1.0, 1.0]), W, BOUNDARY_D,
+                              BOUNDARY_RADIUS)
+    source = SourceCodebook(N=9, M=1, reproductions=[BOUNDARY_VHAT],
+                            D=BOUNDARY_RADIUS, d=BOUNDARY_D)
+    codes = CodeSet(source=source,
+                    control=build_control_code(model.params, 2, 0.5),
+                    caid=model.params.caid)
+    cfg = SchemeConfig(N=9, epsilon=0.1, gamma=0.7, delta_ctrl=0.5, M=1,
+                       msg_len=7, ctrl_len=2, R_D=0.0, C=model.params.C,
+                       master_seed=0)
+    n = 2048
+    res = _simulate_chunk(cfg, codes, model, n, np.random.default_rng(4),
+                          session_cap=1000, trial_offset=0,
+                          message_phase=_MessagePhase(W, codes.caid, 7, 1))
+    # The chunk's source words are the first draws of its stream; the
+    # encoder's verdict is its kernel, pairwise_distortion, against D.
+    v = sample_pmf_batch(model.P_V, (n, 9), np.random.default_rng(4))
+    dist = pairwise_distortion(BOUNDARY_D, v, source.reproductions)[:, 0]
+    assert np.array_equal(res.excess, dist > BOUNDARY_RADIUS)
+    # Some words sit where a pairwise-summed mean would read above D.
+    mean = BOUNDARY_D.matrix[v, source.reproductions[0]].mean(axis=1)
+    assert ((mean > BOUNDARY_RADIUS) & (dist <= BOUNDARY_RADIUS)).any()
 
 
 def test_run_session_pathwise_invariants():
