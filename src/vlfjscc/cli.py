@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import functools
 import io
 import math
 import sys
@@ -495,7 +496,9 @@ def _int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; every parse is fresh."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH")
     common.add_argument("--trials", type=int)

@@ -12,7 +12,7 @@ that makes the message rate land strictly below capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,7 +196,7 @@ class ControlCode:
     x_c repeats the divergence-maximizing input x0, x_e its partner
     x0prime, and llr[y] = ln(W(y|x0)/W(y|x0prime)) for the channel the
     code was built for.  The decoder accepts (decides c) when the summed
-    LLR reaches llr_threshold.
+    LLR reaches llr_threshold; ``control_accepts`` states the rule.
     """
 
     length: int
@@ -204,12 +204,25 @@ class ControlCode:
     x_e: np.ndarray
     llr_threshold: float
     llr: np.ndarray
+    # Derived from llr once, for control_accepts: the output letters as a
+    # (|Y|, 1, 1) column, the letters of finite LLR, and those of +inf
+    # and -inf LLR.
+    _letters: np.ndarray = field(init=False, repr=False)
+    _finite: np.ndarray = field(init=False, repr=False)
+    _pos: np.ndarray = field(init=False, repr=False)
+    _neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("x_c", "x_e", "llr"):
             arr = np.array(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        llr = self.llr
+        object.__setattr__(self, "_letters",
+                           np.arange(len(llr))[:, np.newaxis, np.newaxis])
+        object.__setattr__(self, "_finite", np.flatnonzero(np.isfinite(llr)))
+        object.__setattr__(self, "_pos", np.flatnonzero(np.isposinf(llr)))
+        object.__setattr__(self, "_neg", np.flatnonzero(np.isneginf(llr)))
 
 
 def build_control_code(params: ChannelParams, m: int,
@@ -252,14 +265,35 @@ def control_decode(ctrl: ControlCode, y) -> str:
 
 
 def control_decode_batch(ctrl: ControlCode, y_batch: np.ndarray) -> np.ndarray:
-    """Vectorized threshold test; True where the decision is c."""
-    terms = ctrl.llr[y_batch]
-    pos = np.isposinf(terms).any(axis=1)
-    neg = np.isneginf(terms).any(axis=1)
-    finite = np.where(np.isfinite(terms), terms, 0.0)
-    is_c = finite.sum(axis=1) >= ctrl.llr_threshold
-    is_c[pos & ~neg] = True
-    is_c[neg] = False
+    """Vectorized threshold test; True where the decision is c.
+
+    A block is decided on its output type: its letters are counted and
+    the counts go to ``control_accepts``.
+    """
+    counts = (ctrl._letters == y_batch).sum(axis=-1)
+    return control_accepts(ctrl, counts.T)
+
+
+def control_accepts(ctrl: ControlCode, counts) -> np.ndarray:
+    """The control decision from output types; True where it is c.
+
+    ``counts`` is (n, |Y|): how often each output letter occurs in each
+    of n blocks.  A block is accepted when sum_b counts_b * llr_b over
+    the letters of finite LLR, added in letter order, reaches
+    llr_threshold.  A letter of LLR -inf (impossible under x0) rejects
+    outright; otherwise a letter of LLR +inf (impossible under x0prime)
+    accepts.  A repetition block's decision depends on its output only
+    through this type, so blocks may be drawn as types.
+    """
+    counts = np.asarray(counts)
+    score = np.zeros(len(counts))
+    for b in ctrl._finite:
+        score += counts[:, b] * ctrl.llr[b]
+    is_c = score >= ctrl.llr_threshold
+    if ctrl._pos.size:
+        is_c |= counts[:, ctrl._pos].any(axis=1)
+    if ctrl._neg.size:
+        is_c &= ~counts[:, ctrl._neg].any(axis=1)
     return is_c
 
 

@@ -42,6 +42,7 @@ from .coding_scheme import (
     build_channel_codebook,
     build_control_code,
     build_source_code,
+    control_accepts,
     control_decode,
     control_decode_batch,
     ml_channel_decode,
@@ -62,6 +63,8 @@ from .probability import (
 
 DEFAULT_SESSION_CAP = 10_000
 CHUNK_TRIALS = 2048
+# Count cells (trials x |Y|) per multinomial draw of control-block types.
+CONTROL_CHUNK_CELLS = 1 << 23
 _Z95 = 1.959963984540054
 GOF_MIN_EXPECTED = 5.0
 
@@ -607,15 +610,21 @@ class ControlExponentResult:
 def _crossover_probability(model: SystemModel, ctrl: ControlCode,
                            send_c: bool, trials: int,
                            rng: np.random.Generator) -> int:
-    """Count decoding decisions opposite to the sent control word."""
+    """Count decoding decisions opposite to the sent control word.
+
+    The decision depends on a block only through its output type, which
+    under the repeated input x is Multinomial(m, W(.|x)).  So each trial
+    draws one type, not m letters, and ``control_accepts`` decides it:
+    O(|Y|) work per trial, whatever m.  Rows are drawn CONTROL_CHUNK_CELLS
+    count cells at a time; the counts do not depend on the chunking.
+    """
     wrong = 0
-    chunk = max(1, (1 << 23) // max(1, ctrl.length))
-    x_word = ctrl.x_c if send_c else ctrl.x_e
+    probs = model.W.matrix[int((ctrl.x_c if send_c else ctrl.x_e)[0])]
+    chunk = max(1, CONTROL_CHUNK_CELLS // len(probs))
     for lo in range(0, trials, chunk):
-        n = min(chunk, trials - lo)
-        sent = np.broadcast_to(x_word, (n, ctrl.length))
-        y = sample_channel_batch(model.W, sent, rng)
-        heard_c = control_decode_batch(ctrl, y)
+        counts = rng.multinomial(ctrl.length, probs,
+                                 size=min(chunk, trials - lo))
+        heard_c = control_accepts(ctrl, counts)
         wrong += int((~heard_c).sum()) if send_c else int(heard_c.sum())
     return wrong
 
@@ -624,6 +633,10 @@ def control_phase_exponent(model: SystemModel, m_list, trials: int,
                            delta_ctrl: float,
                            rng: RngSpec) -> ControlExponentResult:
     """Monte Carlo slopes of -ln P(e->c) and -ln P(c->e) versus m.
+
+    Each trial is one control block, drawn as its output type (a
+    multinomial count of the m output letters) and decided by
+    ``coding_scheme.control_accepts``; see ``_crossover_probability``.
 
     Points with zero observed events get rule-of-three upper bounds and
     are flagged; flagged points never enter the least-squares fits.  A

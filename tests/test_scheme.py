@@ -4,6 +4,7 @@ Covering-code failure rates are checked against the analytic ball-count
 oracle; control thresholds and ML decisions against hand arithmetic.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +37,11 @@ from vlfjscc import (
     source_encode,
 )
 from vlfjscc import coding_scheme
-from vlfjscc.coding_scheme import control_decode_batch, source_encode_batch
+from vlfjscc.coding_scheme import (
+    control_accepts,
+    control_decode_batch,
+    source_encode_batch,
+)
 from vlfjscc.numerics import RdPoint
 from vlfjscc.probability import sample_pmf_batch, symbol_llr
 
@@ -534,6 +539,74 @@ def test_control_decode_batch_matches_scalar_with_infinite_llrs():
     got = control_decode_batch(ctrl, ys)
     for y, flag in zip(ys, got):
         assert ("c" if flag else "e") == control_decode(ctrl, y)
+
+
+# A 3 x 3 channel whose inputs 0 and 1 give the LLR table (+inf, ln 4/3,
+# -inf): one output letter each proves c and e outright.
+ZERO_ENTRY_3X3 = [[0.6, 0.4, 0.0], [0.0, 0.3, 0.7], [0.2, 0.3, 0.5]]
+
+
+def exact_control_decision(llr, threshold, word):
+    """c/e from an exact LLR sum, or None within 1e-9 of the threshold."""
+    terms = [llr[y] for y in word]
+    if -math.inf in terms:
+        return False
+    if math.inf in terms:
+        return True
+    total = math.fsum(t for t in terms if math.isfinite(t))
+    if abs(total - threshold) <= 1e-9:
+        return None
+    return total >= threshold
+
+
+@pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], ASYM,
+                                  ZERO_ENTRY_3X3],
+                         ids=["bsc", "asym", "zero_entry_3x3"])
+def test_control_decision_is_one_rule_on_the_output_type(rows):
+    # Every output word of Y^m: the word decision, the decision on its
+    # type and the scalar decision agree, and match the exact LLR sum
+    # wherever that sum is clear of the threshold.
+    W = ChannelMatrix(rows)
+    params = channel_params(W)
+    llr = params.llr
+    finite = llr[np.isfinite(llr)]
+    checked = 0
+    for m in range(1, 7):
+        words = np.array(list(itertools.product(range(W.num_outputs),
+                                                repeat=m)))
+        types = np.stack([(words == b).sum(axis=1)
+                          for b in range(W.num_outputs)], axis=1)
+        thresholds = [float(t) * m for t in
+                      np.linspace(finite.min() - 0.5,
+                                  finite.max() + 0.5, 6)[1:-1]]
+        if math.isfinite(params.B):
+            thresholds.append(build_control_code(params, m, 0.3).llr_threshold)
+        for threshold in thresholds:
+            ctrl = ControlCode(length=m, x_c=np.full(m, params.x0),
+                               x_e=np.full(m, params.x0_prime),
+                               llr_threshold=threshold, llr=llr)
+            by_word = control_decode_batch(ctrl, words)
+            by_type = control_accepts(ctrl, types)
+            np.testing.assert_array_equal(by_word, by_type)
+            for word, flag in zip(words, by_word):
+                assert control_decode(ctrl, word) == ("c" if flag else "e")
+                exact = exact_control_decision(llr, threshold, word)
+                if exact is not None:
+                    assert flag == exact, (m, threshold, word)
+                    checked += 1
+            assert by_word.any() and not by_word.all()
+    assert checked > 0
+
+
+def test_control_decision_accepts_a_sum_on_the_threshold():
+    # With the LLR table (1.5, -1.5), one letter of each sums to exactly
+    # 0, which reaches a threshold of 0: the block is accepted.
+    ctrl = ControlCode(length=2, x_c=np.zeros(2, dtype=int),
+                       x_e=np.ones(2, dtype=int), llr_threshold=0.0,
+                       llr=np.array([1.5, -1.5]))
+    assert control_accepts(ctrl, [[1, 1], [2, 0], [0, 2]]).tolist() == \
+        [True, True, False]
+    assert control_decode(ctrl, (0, 1)) == control_decode(ctrl, (1, 0)) == "c"
 
 
 def test_mean_threshold_crossover_near_half():

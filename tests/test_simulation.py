@@ -724,3 +724,86 @@ def test_control_phase_exponent_against_binomial_tails():
     assert res.slope_ce > 0.0
     if res.slope_ec is not None:
         assert res.slope_ec > 0.0
+
+
+ASYM = ChannelMatrix([[0.95, 0.05], [0.15, 0.85]])
+ASYM_TERNARY = ChannelMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6],
+                              [0.2, 0.5, 0.3]])
+
+
+def exact_crossovers(W: ChannelMatrix, ctrl: ControlCode) -> tuple:
+    """Exact (P(e->c), P(c->e)) of a repetition control code.
+
+    Sums the multinomial pmf of every output type of the m letters under
+    x_e (accepted types) and under x_c (rejected types).  Each type is
+    decided on its exact LLR sum; a type within 1e-9 of the threshold
+    would make the decision depend on rounding, and is refused.
+    """
+    m, q, llr = ctrl.length, W.num_outputs, ctrl.llr
+    p_ec = p_ce = 0.0
+    for head in itertools.product(range(m + 1), repeat=q - 1):
+        if sum(head) > m:
+            continue
+        counts = head + (m - sum(head),)
+        used = [b for b in range(q) if counts[b]]
+        if any(llr[b] == -math.inf for b in used):
+            accept = False
+        elif any(llr[b] == math.inf for b in used):
+            accept = True
+        else:
+            total = math.fsum(counts[b] * llr[b] for b in used)
+            assert abs(total - ctrl.llr_threshold) > 1e-9, counts
+            accept = total >= ctrl.llr_threshold
+        ways = math.factorial(m)
+        for c in counts:
+            ways //= math.factorial(c)
+        x = int(ctrl.x_e[0]) if accept else int(ctrl.x_c[0])
+        pr = ways * math.prod(W.matrix[x, b] ** counts[b] for b in used)
+        if accept:
+            p_ec += pr
+        else:
+            p_ce += pr
+    return p_ec, p_ce
+
+
+def test_exact_crossovers_match_the_binomial_tails_on_the_bsc():
+    model = bsc_model()
+    for m in (4, 6, 8):
+        ctrl = build_control_code(model.params, m, 0.3)
+        p_ec, p_ce = exact_crossovers(model.W, ctrl)
+        assert p_ec == pytest.approx(exact_p_ec(m), rel=1e-9)
+        assert p_ce == pytest.approx(exact_p_ce(m), rel=1e-9)
+
+
+@pytest.mark.parametrize("W, m_list, trials", [
+    (ASYM, [2, 4, 6], 400_000),
+    (ASYM_TERNARY, [4, 6, 8], 200_000),
+], ids=["asym", "ternary"])
+def test_control_phase_exponent_in_law_beyond_the_bsc(W, m_list, trials):
+    # The type draws against exact sums over output types, |z| <= 5 at
+    # every point; each point expects at least 25 events of both kinds.
+    model = SystemModel.build(Pmf([0.5, 0.5]), W, hamming_distortion(2), 0.2)
+    delta = 1.0
+    res = control_phase_exponent(model, m_list, trials, delta, RngSpec(5))
+    for pt in res.points:
+        ctrl = build_control_code(model.params, pt.m, delta)
+        for hat, flagged, exact in zip((pt.p_ec_hat, pt.p_ce_hat),
+                                       (pt.p_ec_flagged, pt.p_ce_flagged),
+                                       exact_crossovers(W, ctrl)):
+            assert trials * exact >= 25
+            k = 0 if flagged else round(hat * trials)
+            z = (k - trials * exact) / math.sqrt(trials * exact * (1 - exact))
+            assert abs(z) <= 5, (pt.m, k, exact, z)
+
+
+def test_control_type_draws_do_not_depend_on_the_chunk(monkeypatch):
+    model = SystemModel.build(Pmf([0.5, 0.5]), ASYM_TERNARY,
+                              hamming_distortion(2), 0.2)
+    whole = control_phase_exponent(model, [4, 6, 8], 2000, 1.0, RngSpec(6))
+    # Three rows of three letters per draw; 2000 is no multiple of three.
+    monkeypatch.setattr(vlfjscc.simulation, "CONTROL_CHUNK_CELLS", 9)
+    chunked = control_phase_exponent(model, [4, 6, 8], 2000, 1.0,
+                                     RngSpec(6))
+    assert chunked == whole
+    assert all(pt.p_ec_hat > 0.005 and pt.p_ce_hat > 0.01
+               for pt in whole.points)

@@ -4,7 +4,9 @@
     python3 tools/bench_pair.py --pairs 10 --base HEAD --out BENCH.json
 
 Exports the committed files of --base into a temporary directory with
-``git archive``, then runs ``perfbench/run.py --trace 0`` of each side
+``git archive``, and copies the working tree's tracked and untracked,
+not ignored, files into a second one, so both sides run from the same
+kind of place.  Then runs ``perfbench/run.py --trace 0`` of each side
 over seeds 1..--pairs on every workload of ``BENCHMARK.json``, for the
 run length it fixes.  Each seed is one pair: the base and the working
 tree run back to back, one at a time, and the side that goes first
@@ -13,12 +15,14 @@ workload and end-to-end metric, both sides' runs, medians and quartiles
 (``statistics.quantiles(values, n=4)``) and the pairs the working tree
 wins (ties count for neither side); per workload, both sides'
 determinism digests, correctness and failed shares; and the machine
-block that ``run.py`` prints.
+block that ``run.py`` prints.  ``change_snapshot`` records what the
+working-tree copy held: its HEAD, file count and ``git status`` lines.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -30,7 +34,7 @@ SIDES = ("base", "change")
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
+                          capture_output=True, text=True).stdout.rstrip("\n")
 
 
 def export_commit(rev: str, dest: str) -> None:
@@ -40,6 +44,21 @@ def export_commit(rev: str, dest: str) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed")
+
+
+def snapshot_worktree(dest: str) -> dict:
+    """Copy tracked and untracked, not ignored, files of the working tree."""
+    listed = git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard").split("\0")
+    files = sorted({f for f in listed
+                    if f and os.path.isfile(os.path.join(ROOT, f))})
+    for name in files:
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(os.path.join(ROOT, name), target)
+    return {"head": git("rev-parse", "HEAD"), "files": len(files),
+            "status": git("status", "--porcelain",
+                          "--untracked-files=all").splitlines()}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -110,9 +129,11 @@ def main() -> int:
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     machines = []
-    with tempfile.TemporaryDirectory(prefix="bench-pair-") as base_dir:
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as base_dir, \
+            tempfile.TemporaryDirectory(prefix="bench-pair-") as change_dir:
         export_commit(base_rev, base_dir)
-        checkouts = {"base": base_dir, "change": ROOT}
+        snapshot = snapshot_worktree(change_dir)
+        checkouts = {"base": base_dir, "change": change_dir}
         for seed in range(1, args.pairs + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             for workload in workloads:
@@ -129,7 +150,8 @@ def main() -> int:
 
     result = {
         "base": base_rev,
-        "change": f"working tree on {git('rev-parse', 'HEAD')}",
+        "change": f"working tree on {snapshot['head']}",
+        "change_snapshot": snapshot,
         "run_seconds": bench["run_seconds"],
         "seeds": list(range(1, args.pairs + 1)),
         "machine": machines[0],
