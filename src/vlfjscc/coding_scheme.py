@@ -84,12 +84,19 @@ def build_source_code(P_V: Pmf, d: DistortionMatrix, point: RdPoint,
     return SourceCodebook(N=N, M=M, reproductions=reps, D=point.D, d=d)
 
 
-def source_encode(cb: SourceCodebook, v) -> int:
-    """Smallest index whose reproduction is within D of v, else 1."""
+def _source_word(cb: SourceCodebook, v) -> np.ndarray:
+    """v as a word the codebook can encode: N letters of its alphabet."""
     v = np.asarray(v, dtype=np.int64)
     if v.shape != (cb.N,):
         raise ValueError("source word length does not match the codebook")
-    return int(source_encode_batch(cb, v[np.newaxis, :])[0])
+    if ((v < 0) | (v >= cb.d.alphabet_size)).any():
+        raise ValueError("source word has letters outside the source alphabet")
+    return v
+
+
+def source_encode(cb: SourceCodebook, v) -> int:
+    """Smallest index whose reproduction is within D of v, else 1."""
+    return int(source_encode_batch(cb, _source_word(cb, v)[np.newaxis])[0])
 
 
 def source_decode(cb: SourceCodebook, index: int) -> tuple:

@@ -263,7 +263,8 @@ def distortion(d: DistortionMatrix, v, vhat):
 
     One word each gives a float; word arrays (positions last) broadcast
     and give an array.  ``cumsum`` sums in order, as
-    ``pairwise_distortion`` does.
+    ``pairwise_distortion`` does.  Letters must lie in 0..|V|-1: they are
+    not checked, as the engines call this per block on words they drew.
     """
     a, b = np.asarray(v), np.asarray(vhat)
     n = a.shape[-1] if a.ndim else 0
@@ -307,6 +308,7 @@ def pairwise_distortion(d: DistortionMatrix, words_a: np.ndarray,
     Entry (i, j) is ``distortion(d, a_i, b_j)``, bit for bit: the same
     sum in position order.  Per position the (|V|, len(b)) table
     d[:, b[:, pos]] is gathered once and its rows are taken at a[:, pos].
+    Letters must lie in 0..|V|-1, unchecked, as for ``distortion``.
     """
     a = np.asarray(words_a, dtype=np.intp)
     b = np.asarray(words_b, dtype=np.intp)

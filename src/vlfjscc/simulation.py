@@ -6,23 +6,26 @@ sessions at scale, estimates the excess-distortion probability, the
 expected stopping time, and per-block retransmission statistics, and
 fits empirical exponents with confidence intervals.
 
-Two engines share one law.  ``run_session`` is the readable reference:
-it draws an explicit M x L codebook every block and ML-decodes it.
-``monte_carlo`` draws each block's ML decision in law at a cost that does
-not grow with M, for every DMC: it draws only the true codeword and its
-channel output y.  Given y, the M - 1 competitor scores are i.i.d. with a
-finite-support law that depends on y only through its output type; the
-kernel builds that law once per type (exact tie-preserving sums), draws
-the best competitor score from F**(M-1), and the first competitor
-attaining it from a truncated geometric, so exact ties still go to the
-lowest index.  Both engines draw letters and decide excess,
-d(v, vhat) > D, by ``probability``'s rules, which the codes obey too.
+Two engines share one law and one session loop, ``_sessions``: the send
+rule, the control phase, the stop rule and the excess verdict
+d(v, vhat) > D (``probability``'s rule, which the codes obey too) are
+written once, and the engines differ only in the message decision.
+``run_session`` is the readable reference: it draws an explicit M x L
+codebook every block and ML-decodes it.  ``monte_carlo`` draws each
+block's ML decision in law at a cost that does not grow with M, for
+every DMC: it draws only the true codeword and its channel output y.
+Given y, the M - 1 competitor scores are i.i.d. with a finite-support
+law that depends on y only through its output type; the kernel builds
+that law once per type (exact tie-preserving sums), draws the best
+competitor score from F**(M-1), and the first competitor attaining it
+from a truncated geometric, so exact ties still go to the lowest index.
 
 Estimator conventions: prt_hat and pe_hat are pooled per-block
 frequencies over every transmitted block (retransmission rounds
-included).  With that reading, etau_hat*(1 - prt_hat) = N and
-pd_hat = pe_hat/(1 - prt_hat) hold as in-sample identities, not merely
-asymptotically.
+included).  They follow from tau and excess: a session hears e on every
+block but its last, the only one heard c.  With that reading,
+etau_hat*(1 - prt_hat) = N and pd_hat = pe_hat/(1 - prt_hat) hold as
+in-sample identities, not merely asymptotically.
 """
 
 from __future__ import annotations
@@ -38,15 +41,14 @@ from .coding_scheme import (
     ControlCode,
     SchemeConfig,
     SourceCodebook,
+    _source_word,
     _tie_exact_log,
     build_channel_codebook,
     build_control_code,
     build_source_code,
     control_accepts,
-    control_decode,
     control_decode_batch,
     ml_channel_decode,
-    source_encode,
     source_encode_batch,
 )
 from .numerics import RdPoint, rate_distortion, reliability_from_parts
@@ -170,8 +172,40 @@ def build_codes(model: SystemModel, cfg: SchemeConfig,
 
 
 # ----------------------------------------------------------------------
-# Single-session reference implementation
+# The session loop and its single-session reference
 # ----------------------------------------------------------------------
+
+def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
+              v: np.ndarray, decide, rng: np.random.Generator,
+              session_cap: int, trial_offset: int):
+    """tau and the stopping block's distortion of one session per row of v.
+
+    Each block, ``decide(msg, rng)`` draws the message phase of the live
+    sessions and returns their decoded messages.  The encoder sends c
+    where d(v, vhat) <= D, else e; the control letters are drawn next, and
+    a session stops at its first block decided c.  A session still live
+    after session_cap blocks raises, at row index + trial_offset.
+    """
+    msg = source_encode_batch(codes.source, v)
+    tau = np.zeros(len(v), dtype=np.int64)
+    end_dist = np.zeros(len(v))
+    alive = np.arange(len(v))
+    for block in range(1, session_cap + 1):
+        decoded = decide(msg[alive], rng)
+        dist = distortion(codes.source.d, v[alive],
+                          codes.source.reproductions[decoded - 1])
+        sent = np.where((dist <= codes.source.D)[:, np.newaxis],
+                        codes.control.x_c, codes.control.x_e)
+        stopped = control_decode_batch(codes.control,
+                                       sample_channel_batch(W, sent, rng))
+        tau[alive[stopped]] = block * cfg.N
+        end_dist[alive[stopped]] = dist[stopped]
+        alive = alive[~stopped]
+        if len(alive) == 0:
+            return tau, end_dist
+    raise SessionCapExceeded(session_cap,
+                             trial_index=trial_offset + int(alive[0]))
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -194,35 +228,25 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
                 source_word=None) -> TrialRecord:
     """One session, block by block, with explicit codebooks throughout.
 
-    This is the readable reference path: it draws a fresh message-phase
-    codebook every block, ML-decodes the message (the encoder learns the
-    decision through the fed-back outputs), and stops at the first
-    accepted control block.
+    The readable reference message phase: every block draws a fresh
+    codebook and ML-decodes it.  The rest of the session is ``_sessions``,
+    as in ``monte_carlo``.  A ``source_word`` must be N source letters.
     """
-    if source_word is None:
-        v = sample_pmf_batch(P_V, (cfg.N,), rng)
-    else:
-        v = np.asarray(source_word, dtype=np.int8)
-    msg = source_encode(codes.source, v)
-    history = []
-    for block in range(1, session_cap + 1):
+    v = (sample_pmf_batch(P_V, (cfg.N,), rng) if source_word is None
+         else _source_word(codes.source, source_word))
+
+    def decide(msg, rng):
         codebook = build_channel_codebook(codes.caid, cfg.msg_len, cfg.M, rng)
-        x_msg = codebook.codewords[msg - 1]
-        y_msg = sample_channel_batch(W, x_msg, rng)
-        decoded = ml_channel_decode(codebook, y_msg, W)
-        vhat = codes.source.reproductions[decoded - 1]
-        dist = distortion(codes.source.d, v, vhat)
-        send_c = dist <= codes.source.D
-        x_ctrl = codes.control.x_c if send_c else codes.control.x_e
-        y_ctrl = sample_channel_batch(W, x_ctrl, rng)
-        heard = control_decode(codes.control, y_ctrl)
-        history.append(heard)
-        if heard == "c":
-            return TrialRecord(tau=block * cfg.N, retransmissions=block - 1,
-                               realized_distortion=dist,
-                               excess=dist > codes.source.D,
-                               control_history=tuple(history))
-    raise SessionCapExceeded(session_cap, trial_index=0)
+        y = sample_channel_batch(W, codebook.codewords[msg - 1], rng)
+        return np.array([ml_channel_decode(codebook, y[0], W)])
+
+    tau, dist = _sessions(cfg, codes, W, v[np.newaxis], decide, rng,
+                          session_cap, trial_offset=0)
+    blocks = int(tau[0]) // cfg.N
+    return TrialRecord(tau=int(tau[0]), retransmissions=blocks - 1,
+                       realized_distortion=float(dist[0]),
+                       excess=bool(dist[0] > codes.source.D),
+                       control_history=("e",) * (blocks - 1) + ("c",))
 
 
 # ----------------------------------------------------------------------
@@ -335,56 +359,16 @@ class _MessagePhase:
 class _ChunkResult:
     tau: np.ndarray
     excess: np.ndarray
-    blocks_total: int
-    e_blocks: int
-    c_excess_blocks: int
 
 
 def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
                     n_trials: int, rng: np.random.Generator,
                     session_cap: int, trial_offset: int,
                     message_phase: _MessagePhase) -> _ChunkResult:
-    D = codes.source.D
-
     v = sample_pmf_batch(model.P_V, (n_trials, cfg.N), rng)
-    msg = source_encode_batch(codes.source, v)
-
-    tau = np.zeros(n_trials, dtype=np.int64)
-    excess = np.zeros(n_trials, dtype=bool)
-    alive = np.arange(n_trials)
-    blocks_total = 0
-    e_blocks = 0
-    c_excess_blocks = 0
-
-    for block in range(1, session_cap + 1):
-        n_act = len(alive)
-        if n_act == 0:
-            break
-        decoded = message_phase.decide(msg[alive], rng)
-        dist = distortion(model.d, v[alive],
-                          codes.source.reproductions[decoded - 1])
-        send_c = dist <= D
-
-        sent = np.where(send_c[:, np.newaxis], codes.control.x_c,
-                        codes.control.x_e)
-        y_ctrl = sample_channel_batch(model.W, sent, rng)
-        heard_c = control_decode_batch(codes.control, y_ctrl)
-
-        blocks_total += n_act
-        e_blocks += int((~heard_c).sum())
-        c_excess_blocks += int((heard_c & (dist > D)).sum())
-
-        stopped = heard_c
-        done = alive[stopped]
-        tau[done] = block * cfg.N
-        excess[done] = dist[stopped] > D
-        alive = alive[~stopped]
-
-    if len(alive) > 0:
-        raise SessionCapExceeded(session_cap,
-                                 trial_index=trial_offset + int(alive[0]))
-    return _ChunkResult(tau=tau, excess=excess, blocks_total=blocks_total,
-                        e_blocks=e_blocks, c_excess_blocks=c_excess_blocks)
+    tau, dist = _sessions(cfg, codes, model.W, v, message_phase.decide, rng,
+                          session_cap, trial_offset)
+    return _ChunkResult(tau=tau, excess=dist > codes.source.D)
 
 
 # ----------------------------------------------------------------------
@@ -439,28 +423,22 @@ class EstimateReport:
 def monte_carlo(cfg: SchemeConfig, model: SystemModel, trials: int,
                 rng: RngSpec,
                 session_cap: int = DEFAULT_SESSION_CAP) -> EstimateReport:
-    """Run independent sessions and assemble the full estimate report."""
+    """Run independent sessions and assemble the full estimate report.
+
+    Chunks of CHUNK_TRIALS sessions, each on its own stream, run through
+    ``_sessions`` with ``_MessagePhase`` deciding the message phase.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     codes = build_codes(model, cfg, rng.generator("source-code"))
     message_phase = _MessagePhase(model.W, codes.caid, cfg.msg_len, cfg.M)
-    taus = []
-    excesses = []
-    blocks_total = 0
-    e_blocks = 0
-    c_excess_blocks = 0
-    for chunk_index, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
-        n = min(CHUNK_TRIALS, trials - lo)
-        res = _simulate_chunk(cfg, codes, model, n,
-                              rng.generator("mc", chunk_index), session_cap,
+    chunks = [_simulate_chunk(cfg, codes, model,
+                              min(CHUNK_TRIALS, trials - lo),
+                              rng.generator("mc", i), session_cap,
                               trial_offset=lo, message_phase=message_phase)
-        taus.append(res.tau)
-        excesses.append(res.excess)
-        blocks_total += res.blocks_total
-        e_blocks += res.e_blocks
-        c_excess_blocks += res.c_excess_blocks
-    tau = np.concatenate(taus)
-    excess = np.concatenate(excesses)
+              for i, lo in enumerate(range(0, trials, CHUNK_TRIALS))]
+    tau = np.concatenate([res.tau for res in chunks])
+    excess = np.concatenate([res.excess for res in chunks])
 
     k_excess = int(excess.sum())
     pd_hat = k_excess / trials
@@ -468,8 +446,11 @@ def monte_carlo(cfg: SchemeConfig, model: SystemModel, trials: int,
     etau_hat = float(tau.mean())
     etau_sd = float(tau.std(ddof=1)) if trials > 1 else 0.0
     etau_ci = _Z95 * etau_sd / math.sqrt(trials)
-    prt_hat = e_blocks / blocks_total
-    pe_hat = c_excess_blocks / blocks_total
+    # Every block but a session's last is heard e, and only its last
+    # (heard c) can carry its excess.
+    blocks = int(tau.sum()) // cfg.N
+    prt_hat = (blocks - trials) / blocks
+    pe_hat = k_excess / blocks
 
     if k_excess > 0:
         exponent_hat = -math.log(pd_hat) / etau_hat

@@ -192,6 +192,17 @@ def test_source_encode_first_cover_and_sink():
     assert source_decode(cb, 1) == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("word", [(-1,) * 4, (0, 2, 0, 0)],
+                         ids=["negative", "past_the_alphabet"])
+def test_source_encode_refuses_letters_outside_the_alphabet(word):
+    # Unchecked, -1 would read as the last letter and 2 would index past
+    # the distortion table.
+    cb = SourceCodebook(N=4, M=2, reproductions=np.array([[0] * 4, [1] * 4]),
+                        D=0.0, d=hamming_distortion(2))
+    with pytest.raises(ValueError, match="alphabet"):
+        source_encode(cb, word)
+
+
 def test_source_decode_range_checks():
     d = hamming_distortion(2)
     cb = SourceCodebook(N=2, M=2, reproductions=np.array([[0, 0], [1, 1]]),

@@ -287,6 +287,17 @@ def test_run_session_uncoverable_word_hits_cap():
     assert "5 blocks" in str(exc.value)
 
 
+@pytest.mark.parametrize("word", [(-1,) * 8, (0, 2) * 4],
+                         ids=["negative", "past_the_alphabet"])
+def test_run_session_refuses_letters_outside_the_alphabet(word):
+    model = bsc_model()
+    cfg = model.derive_config(8, 0.08, 0.3)
+    rng = np.random.default_rng(7)
+    codes = build_codes(model, cfg, rng)
+    with pytest.raises(ValueError, match="alphabet"):
+        run_session(cfg, codes, model.W, model.P_V, rng, source_word=word)
+
+
 # A word pair at the D boundary.  With decimal entries and N = 9 the word
 # sum depends on summation order: in position order d(v, vhat) is exactly
 # BOUNDARY_RADIUS, while numpy's pairwise-summed mean is one ulp above it.
@@ -726,7 +737,24 @@ def test_control_phase_exponent_against_binomial_tails():
         assert res.slope_ec > 0.0
 
 
-ASYM = ChannelMatrix([[0.95, 0.05], [0.15, 0.85]])
+def test_control_phase_exponent_at_long_blocks_against_binomial_tails():
+    # The control lengths of the characterise-bsc benchmark workload.
+    # Each c->e count must hold its exact tail within a z = 5 Wilson
+    # interval; no e->c event can be expected.
+    trials, z = 100_000, 5.0
+    res = control_phase_exponent(bsc_model(), (50, 100, 200), trials, 0.3,
+                                 RngSpec(8))
+    for pt in res.points:
+        assert pt.p_ec_flagged and exact_p_ec(pt.m) * trials < 0.01
+        assert not pt.p_ce_flagged
+        p, denom = pt.p_ce_hat, 1 + z * z / trials
+        center = (p + z * z / (2 * trials)) / denom
+        half = z * math.sqrt(p * (1 - p) / trials
+                             + z * z / (4 * trials ** 2)) / denom
+        assert abs(exact_p_ce(pt.m) - center) <= half, (pt.m, p)
+
+
+ASYM =ChannelMatrix([[0.95, 0.05], [0.15, 0.85]])
 ASYM_TERNARY = ChannelMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6],
                               [0.2, 0.5, 0.3]])
 

@@ -14,8 +14,10 @@ alternates from pair to pair.  The JSON written to --out holds, per
 workload and end-to-end metric, both sides' runs, medians and quartiles
 (``statistics.quantiles(values, n=4)``) and the pairs the working tree
 wins (ties count for neither side); per workload, both sides'
-determinism digests, correctness and failed shares; and the machine
-block that ``run.py`` prints.  ``change_snapshot`` records what the
+determinism digests, correctness, failed shares and, per run, the
+``FAILED check`` lines ``run.py`` wrote to stderr, which name the checks
+behind an incorrect run (they are printed too); and the machine block
+that ``run.py`` prints.  ``change_snapshot`` records what the
 working-tree copy held: its HEAD, file count and ``git status`` lines.
 """
 
@@ -72,6 +74,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
                            f"{res.returncode}\n{res.stderr}")
     lines = res.stdout.strip().splitlines()
     out = json.loads(lines[-1])
+    out["failed_checks"] = [line for line in res.stderr.splitlines()
+                            if line.startswith("FAILED check ")]
     for line in lines:
         if line.startswith("# machine "):
             out["machine"] = json.loads(line[len("# machine "):])
@@ -106,6 +110,7 @@ def workload_report(runs: dict, metrics: dict) -> dict:
             "digests": [r["digest"] for r in runs[side]],
             "correct": all(r["correct"] for r in runs[side]),
             "failed_shares": [r["failed"] / r["attempted"] for r in runs[side]],
+            "failed_checks": [r["failed_checks"] for r in runs[side]],
         }
     report["digests_identical"] = \
         report["base"]["digests"] == report["change"]["digests"]
@@ -147,6 +152,8 @@ def main() -> int:
                               f"{k}={v['value']:.6g}"
                               for k, v in out["metrics"].items()),
                           flush=True)
+                    for line in out["failed_checks"]:
+                        print(f"  {line}", flush=True)
 
     result = {
         "base": base_rev,
