@@ -86,12 +86,12 @@ def build_source_code(P_V: Pmf, d: DistortionMatrix, point: RdPoint,
 
 def _source_word(cb: SourceCodebook, v) -> np.ndarray:
     """v as a word the codebook can encode: N letters of its alphabet."""
-    v = np.asarray(v, dtype=np.int64)
+    v = np.asarray(v)
     if v.shape != (cb.N,):
         raise ValueError("source word length does not match the codebook")
-    if ((v < 0) | (v >= cb.d.alphabet_size)).any():
+    if not ((v == np.round(v)) & (v >= 0) & (v < cb.d.alphabet_size)).all():
         raise ValueError("source word has letters outside the source alphabet")
-    return v
+    return v.astype(np.int64)
 
 
 def source_encode(cb: SourceCodebook, v) -> int:

@@ -73,6 +73,7 @@ class Pmf:
             raise ValueError("pmf normalization failed")
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "_cdf", np.cumsum(arr))  # for sampling
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -96,6 +97,7 @@ class ChannelMatrix:
         arr = np.vstack(rows_norm)
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "_cdf", np.cumsum(arr, axis=-1))
 
     @property
     def num_inputs(self) -> int:
@@ -199,9 +201,8 @@ def symbol_llr(W: ChannelMatrix, x0: int, x0_prime: int) -> np.ndarray:
                      for p, q in zip(W.matrix[x0], W.matrix[x0_prime])])
 
 
-def _inverse_cdf(probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+def _inverse_cdf(cum: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
     """Letter per uniform u: CDF entries (last set to 1) at or below u."""
-    cum = np.cumsum(probs, axis=-1)
     letters = np.zeros(u.shape, dtype=np.int64)
     for k in range(cum.shape[-1] - 1):  # the last entry, 1, exceeds every u
         letters += cum[..., k][rows] <= u
@@ -210,13 +211,13 @@ def _inverse_cdf(probs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
 
 def sample_pmf_batch(p: Pmf, shape, rng: np.random.Generator) -> np.ndarray:
     """Letters i.i.d. from p, as int8, one uniform of rng each."""
-    return _inverse_cdf(p.probs, ..., rng.random(shape)).astype(np.int8)
+    return _inverse_cdf(p._cdf, ..., rng.random(shape)).astype(np.int8)
 
 
 def sample_channel_batch(W: ChannelMatrix, x: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
     """Independent channel uses for an array of inputs (any shape)."""
-    return _inverse_cdf(W.matrix, x, rng.random(x.shape))
+    return _inverse_cdf(W._cdf, x, rng.random(x.shape))
 
 
 def sample_channel(W: ChannelMatrix, x: int, rng: np.random.Generator) -> int:

@@ -16,9 +16,9 @@ block's ML decision in law at a cost that does not grow with M, for
 every DMC: it draws only the true codeword and its channel output y.
 Given y, the M - 1 competitor scores are i.i.d. with a finite-support
 law that depends on y only through its output type; the kernel builds
-that law once per type (exact tie-preserving sums), draws the best
-competitor score from F**(M-1), and the first competitor attaining it
-from a truncated geometric, so exact ties still go to the lowest index.
+that law once per type and call (exact tie-preserving sums), draws the
+best competitor score from F**(M-1), and the first competitor attaining
+it from a truncated geometric, so exact ties still go to the lowest index.
 
 Estimator conventions: prt_hat and pe_hat are pooled per-block
 frequencies over every transmitted block (retransmission rounds
@@ -186,6 +186,8 @@ def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     a session stops at its first block decided c.  A session still live
     after session_cap blocks raises, at row index + trial_offset.
     """
+    if session_cap < 1:
+        raise ValueError("session_cap must be >= 1")
     msg = source_encode_batch(codes.source, v)
     tau = np.zeros(len(v), dtype=np.int64)
     end_dist = np.zeros(len(v))
@@ -270,9 +272,11 @@ class _MessagePhase:
     """ML decisions of fresh random codebooks, drawn in law.
 
     The method is in the module docstring.  Exact ties go to the lower
-    index, as in ``coding_scheme.ml_channel_decode``.  Score laws are
-    memoized by output type, so an instance serves one configuration
-    (one ``monte_carlo`` call).
+    index, as in ``coding_scheme.ml_channel_decode``.  ``monte_carlo``
+    builds one per call.  The key of an output type (letter counts c_b)
+    is its rank among all types, the sum over b < |Y| - 1 of
+    comb(c_0 + ... + c_b + b, b + 1); it picks the type's row of a padded
+    (values, G, a) table, filled when the type is first seen.
     """
 
     def __init__(self, W: ChannelMatrix, caid: Pmf, L: int, M: int):
@@ -285,7 +289,14 @@ class _MessagePhase:
         # shared by every output type.
         self._powers = [[(np.zeros(1), np.ones(1))]
                         for _ in range(W.num_outputs)]
-        self._laws = {}
+        # comb(s + j, j + 1) < the count of types: int64 refuses >2**63.
+        self._rank = np.array([[math.comb(s + j, j + 1)
+                                for j in range(W.num_outputs - 1)]
+                               for s in range(L + 1)], dtype=np.int64)
+        # Each table row's key (row 0's, no type's, above every key), the
+        # order that sorts them, and the padded (values, G, a) table.
+        self._types = (np.array([np.iinfo(np.int64).max]), np.zeros(1, int),
+                       np.full((3, 1, 1), np.inf))
 
     def _law(self, counts: tuple):
         """(values, G, a) of one competitor's score for an output type.
@@ -295,8 +306,6 @@ class _MessagePhase:
         P(S = value) / F(value) is the chance that a competitor scoring
         at most value scores exactly value.
         """
-        if counts in self._laws:
-            return self._laws[counts]
         vals, probs = np.zeros(1), np.ones(1)
         for b, n_b in enumerate(counts):
             powers = self._powers[b]
@@ -308,12 +317,44 @@ class _MessagePhase:
         with np.errstate(divide="ignore"):
             log_f = np.where(cum < 0.5, np.log(cum),
                              np.log1p(-np.minimum(above, 1.0)))
-        log_f = np.maximum.accumulate(log_f)
-        q = np.minimum(probs / np.exp(log_f), 1.0)
-        with np.errstate(divide="ignore"):
-            law = (vals, (self.M - 1) * log_f, np.log1p(-q))
-        self._laws[counts] = law
-        return law
+            log_f = np.maximum.accumulate(log_f)
+            q = np.minimum(probs / np.exp(log_f), 1.0)
+            return vals, (self.M - 1) * log_f, np.log1p(-q)
+
+    def _add_types(self, key: np.ndarray, counts: np.ndarray) -> None:
+        """Give each new type, keyed by key with counts rows, a table row."""
+        keys, first = np.unique(key, return_index=True)
+        laws = [self._law(tuple(counts[i])) for i in first]
+        old_keys, _, table = self._types
+        n, width = len(old_keys), max(len(v) for v, _, _ in laws)
+        if n + len(laws) > table.shape[1] or width > table.shape[2]:
+            # Rows double; +inf pads G above every log u.
+            grown = np.full((3, max(n + len(laws), 2 * n),
+                             max(width, table.shape[2])), np.inf)
+            grown[:, :n, :table.shape[2]] = table[:, :n]
+            table = grown
+        for row, law in enumerate(laws, start=n):
+            table[:, row, :len(law[0])] = law
+        keys = np.concatenate([old_keys, keys])
+        # One assignment, so an interrupted build leaves the old index.
+        self._types = (keys, np.argsort(keys), table)
+
+    def _lookup(self, y: np.ndarray, log_u: np.ndarray):
+        """(values, a) of each row's type law at searchsorted(G, log_u), the
+        count of G entries below the column log_u: G is non-decreasing."""
+        n, k = y.shape[0], self.W.num_outputs
+        counts = np.bincount((k * np.arange(n)[:, None] + y).ravel(),
+                             minlength=n * k).reshape(n, k)
+        key = self._rank[counts[:, :-1].cumsum(axis=1),
+                         np.arange(k - 1)].sum(axis=1)
+        keys, order, _ = self._types
+        new = keys[order[np.searchsorted(keys, key, sorter=order)]] != key
+        if new.any():
+            self._add_types(key[new], counts[new])
+        keys, order, table = self._types
+        slot = order[np.searchsorted(keys, key, sorter=order)]
+        j = (table[1, slot] < log_u).sum(axis=1)
+        return table[0::2, slot, j]
 
     def decide(self, msg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """ML-decoded messages (1-based) for sent messages ``msg``.
@@ -330,25 +371,13 @@ class _MessagePhase:
             return msg.copy()
         score = self.logw[x_true, y].sum(axis=1)
         u = 1.0 - rng.random((n, 2))
-        counts = np.stack([(y == b).sum(axis=1)
-                           for b in range(self.W.num_outputs)], axis=1)
-        order = np.lexsort(counts.T)
-        by_type = counts[order]
-        changed = (by_type[1:] != by_type[:-1]).any(axis=1)
-        edges = np.flatnonzero(np.r_[True, changed, True])
-        best = np.empty(n)
-        a = np.empty(n)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            vals, G, a_t = self._law(tuple(int(c) for c in by_type[lo]))
-            rows = order[lo:hi]
-            j = np.searchsorted(G, np.log(u[rows, 0]))
-            best[rows] = vals[j]
-            a[rows] = a_t[j]
+        best, a = self._lookup(y, np.log(u[:, :1]))
         # First competitor position scoring S*: K with P(K <= k)
-        # proportional to 1 - (1 - q)**k on 1..M-1, by inversion.
+        # proportional to 1 - (1 - q)**k on 1..M-1, by inversion.  A NaN
+        # (q = 0, or q = 1 with u = 1) reads as 1.
         with np.errstate(divide="ignore", invalid="ignore"):
             pos = np.ceil(np.log1p(u[:, 1] * np.expm1((M - 1) * a)) / a)
-        pos = np.clip(np.nan_to_num(pos, nan=1.0), 1, M - 1).astype(np.int64)
+        pos = np.minimum(np.fmax(pos, 1), M - 1).astype(np.int64)
         rival = pos + (pos >= msg)
         return np.where(score > best, msg,
                         np.where(score == best, np.minimum(msg, rival),

@@ -1,0 +1,43 @@
+"""``tools/bench_pair.py`` flags metrics its base runs cannot resolve.
+
+A metric whose base quartile spread over its median exceeds its bound
+is reported ``resolved: false``: the pairs cannot tell a regression of
+the bound's size from noise.  The tool is loaded by path.
+"""
+
+import importlib.util
+from pathlib import Path
+
+BENCH_PAIR = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+
+
+def load_bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", BENCH_PAIR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(value: float, setup: float) -> dict:
+    return {"metrics": {"ops_per_s": {"value": value},
+                        "setup_s": {"value": setup}},
+            "digest": "d", "correct": True, "failed": 0, "attempted": 1,
+            "failed_checks": []}
+
+
+def test_metric_wider_than_its_bound_is_unresolved():
+    bench_pair = load_bench_pair()
+    metrics = {"ops_per_s": {"unit": "1/s", "better": "higher", "bound": 0.24},
+               "setup_s": {"unit": "s", "better": "lower", "bound": 0.25}}
+    # ops_per_s: quartiles 99.5 and 101.5 around 100, a 2% spread.
+    # setup_s: quartiles 0.15 and 0.25 around 0.2, a 50% spread.
+    base = [run(v, s) for v, s in zip((99, 100, 101, 102, 100),
+                                      (0.1, 0.2, 0.3, 0.2, 0.2))]
+    change = [run(v * 1.5, s) for v, s in zip((99, 100, 101, 102, 100),
+                                              (0.1, 0.2, 0.3, 0.2, 0.2))]
+    report = bench_pair.workload_report({"base": base, "change": change},
+                                        metrics)["metrics"]
+    assert report["ops_per_s"]["resolved"] is True
+    assert report["ops_per_s"]["change_wins"] == 5
+    assert report["setup_s"]["resolved"] is False
+    assert report["setup_s"]["base_spread"] > 0.25

@@ -192,11 +192,12 @@ def test_source_encode_first_cover_and_sink():
     assert source_decode(cb, 1) == (0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("word", [(-1,) * 4, (0, 2, 0, 0)],
-                         ids=["negative", "past_the_alphabet"])
+@pytest.mark.parametrize("word", [(-1,) * 4, (0, 2, 0, 0),
+                                  (0.7, 1.9, 1.2, 1.0)],
+                         ids=["negative", "past_the_alphabet", "non_integral"])
 def test_source_encode_refuses_letters_outside_the_alphabet(word):
-    # Unchecked, -1 would read as the last letter and 2 would index past
-    # the distortion table.
+    # Unchecked, -1 would read as the last letter, 2 would index past
+    # the distortion table, and 0.7 would be cut to the letter 0.
     cb = SourceCodebook(N=4, M=2, reproductions=np.array([[0] * 4, [1] * 4]),
                         D=0.0, d=hamming_distortion(2))
     with pytest.raises(ValueError, match="alphabet"):

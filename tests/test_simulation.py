@@ -287,8 +287,9 @@ def test_run_session_uncoverable_word_hits_cap():
     assert "5 blocks" in str(exc.value)
 
 
-@pytest.mark.parametrize("word", [(-1,) * 8, (0, 2) * 4],
-                         ids=["negative", "past_the_alphabet"])
+@pytest.mark.parametrize("word", [(-1,) * 8, (0, 2) * 4,
+                                  (0.7, 1.9, 1.2, 1.0, 0, 0, 0, 0)],
+                         ids=["negative", "past_the_alphabet", "non_integral"])
 def test_run_session_refuses_letters_outside_the_alphabet(word):
     model = bsc_model()
     cfg = model.derive_config(8, 0.08, 0.3)
@@ -441,6 +442,20 @@ def test_monte_carlo_propagates_session_cap():
     assert 0 <= exc.value.trial_index < 64
 
 
+@pytest.mark.parametrize("engine", ["run_session", "monte_carlo"])
+def test_session_cap_below_one_is_refused(engine):
+    model = bsc_model()
+    cfg = model.derive_config(8, 0.08, 0.3)
+    codes = build_codes(model, cfg, np.random.default_rng(0))
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="session_cap"):
+            if engine == "run_session":
+                run_session(cfg, codes, model.W, model.P_V,
+                            np.random.default_rng(1), session_cap=cap)
+            else:
+                monte_carlo(cfg, model, 16, RngSpec(0), session_cap=cap)
+
+
 def test_monte_carlo_rejects_zero_trials():
     model = bsc_model()
     cfg = model.derive_config(8, 0.08, 0.3)
@@ -541,6 +556,81 @@ def test_message_phase_kernel_matches_exact_ml_law(W, caid, L, M, msg):
             assert f == round(p)
         else:
             assert abs(f - p) <= 5.0 * math.sqrt(p * (1 - p) / n)
+
+
+KERNEL_CHANNELS = [
+    (bsc(0.1), [0.5, 0.5]),
+    (ChannelMatrix([[0.95, 0.05], [0.15, 0.85]]), [0.55, 0.45]),
+    (TERNARY, [1 / 3, 1 / 3, 1 / 3]),
+    (ChannelMatrix([[1.0, 0.0], [0.3, 0.7]]), [0.6, 0.4]),
+]
+
+
+@pytest.mark.parametrize("W, caid", KERNEL_CHANNELS,
+                         ids=["bsc", "asymmetric", "ternary", "zero-entry"])
+@pytest.mark.parametrize("M", [4, 1000])
+def test_type_key_lookup_is_the_searchsorted_index(W, caid, M):
+    # Every output type at L <= 6, met a few at a time in shuffled order
+    # so the padded tables grow, then all at once: at each G entry, its
+    # neighbours and 0, the lookup must read the law at searchsorted(G).
+    rng = np.random.default_rng(3)
+    n_out = W.num_outputs
+    for L in range(1, 7):
+        phase = _MessagePhase(W, Pmf(caid), L, M)
+        types = [c for c in itertools.product(range(L + 1), repeat=n_out)
+                 if sum(c) == L]
+        rng.shuffle(types)
+        batches = [types[i:i + 3] for i in range(0, len(types), 3)] + [types]
+        for batch in batches:
+            ys, log_u, want_vals, want_a = [], [], [], []
+            for counts in batch:
+                vals, G, a = phase._law(counts)
+                at = np.concatenate([G, np.nextafter(G, -np.inf),
+                                     np.nextafter(G, np.inf), [0.0]])
+                at = at[(at <= 0.0) & np.isfinite(at)]
+                j = np.searchsorted(G, at)
+                word = np.repeat(np.arange(n_out), counts)
+                ys.append(np.tile(word, (len(at), 1)))
+                log_u.append(at)
+                want_vals.append(vals[j])
+                want_a.append(a[j])
+            got_vals, got_a = phase._lookup(np.concatenate(ys),
+                                            np.concatenate(log_u)[:, None])
+            assert np.array_equal(got_vals, np.concatenate(want_vals))
+            assert np.array_equal(got_a, np.concatenate(want_a))
+        assert len(phase._types[0]) == len(types) + 1
+
+
+@pytest.mark.parametrize("n_out, L", [(8, 20), (64, 12)])
+def test_type_keys_of_a_channel_with_many_outputs(n_out, L):
+    # Keys are ranks among the comb(L + |Y| - 1, |Y| - 1) output types, so
+    # they fit int64 where a radix (L + 1)**(|Y| - 1) would need 14 GB of
+    # slots (|Y| = 8, L = 20) or overflow (|Y| = 64).
+    rng = np.random.default_rng(4)
+    W = ChannelMatrix(rng.random((2, n_out)) + 0.1)
+    phase = _MessagePhase(W, Pmf([0.5, 0.5]), L, 1000)
+    y = rng.integers(0, n_out, size=(40, L))
+    y[1::2] = y[::2]  # every type met twice
+    log_u = np.log(1.0 - rng.random((40, 1)))
+    got_vals, got_a = phase._lookup(y, log_u)
+    counts = [tuple(np.bincount(row, minlength=n_out)) for row in y]
+    keys = phase._types[0][1:]
+    assert len(keys) == len(set(counts))
+    assert 0 <= keys.min() and keys.max() < math.comb(L + n_out - 1, L)
+    for row, c in enumerate(counts):
+        vals, G, a = phase._law(c)
+        j = np.searchsorted(G, log_u[row, 0])
+        assert got_vals[row] == vals[j] and got_a[row] == a[j]
+
+
+def test_monte_carlo_on_a_channel_with_eight_outputs():
+    W = ChannelMatrix([[0.4, 0.3, 0.15, 0.1, 0.02, 0.01, 0.01, 0.01],
+                       [0.01, 0.01, 0.01, 0.02, 0.1, 0.15, 0.3, 0.4]])
+    model = SystemModel.build(Pmf([0.5, 0.5]), W, hamming_distortion(2), 0.2)
+    cfg = model.derive_config(16, 0.1, 0.3)
+    assert cfg.msg_len == 15
+    rep = monte_carlo(cfg, model, 200, RngSpec(2))
+    assert rep.trials == 200 and rep.etau_hat >= cfg.N
 
 
 # ----------------------------------------------------------------------

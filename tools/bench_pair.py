@@ -13,7 +13,10 @@ tree run back to back, one at a time, and the side that goes first
 alternates from pair to pair.  The JSON written to --out holds, per
 workload and end-to-end metric, both sides' runs, medians and quartiles
 (``statistics.quantiles(values, n=4)``) and the pairs the working tree
-wins (ties count for neither side); per workload, both sides'
+wins (ties count for neither side).  A metric is marked ``resolved:
+false`` when the base side's quartile spread (q3 - q1) over its median
+exceeds the metric's bound: such runs cannot tell a regression of the
+bound's size from noise.  Per workload, both sides'
 determinism digests, correctness, failed shares and, per run, the
 ``FAILED check`` lines ``run.py`` wrote to stderr, which name the checks
 behind an incorrect run (they are printed too); and the machine block
@@ -23,6 +26,7 @@ working-tree copy held: its HEAD, file count and ``git status`` lines.
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -99,11 +103,16 @@ def workload_report(runs: dict, metrics: dict) -> dict:
         sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (c - b) > 0
                    for b, c in zip(values["base"], values["change"]))
+        sides = {side: summary(values[side]) for side in SIDES}
+        base = sides["base"]
+        spread = ((base["q3"] - base["q1"]) / abs(base["median"])
+                  if base["median"] else math.inf)
         report["metrics"][name] = {
             "unit": spec["unit"], "better": spec["better"],
             "bound": spec.get("bound"), "pairs": len(values["base"]),
-            "change_wins": wins,
-            **{side: summary(values[side]) for side in SIDES},
+            "change_wins": wins, "base_spread": spread,
+            "resolved": spec.get("bound") is None or spread <= spec["bound"],
+            **sides,
         }
     for side in SIDES:
         report[side] = {
@@ -168,6 +177,13 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
+    for workload, rep in result["workloads"].items():
+        for name, m in rep["metrics"].items():
+            print(f"{workload} {name}: {m['base']['median']:.6g} -> "
+                  f"{m['change']['median']:.6g} ({m['change_wins']}/"
+                  f"{m['pairs']} pairs won), base spread "
+                  f"{m['base_spread']:.3g} vs bound {m['bound']}, "
+                  f"resolved: {str(m['resolved']).lower()}")
     return 0
 
 
