@@ -66,6 +66,20 @@ when = f"t = {t16}" if t16 is not None else "never (within this trajectory)"
 print(f"N = {N16}, D = {D16}, outputs {y16}: the tail first drops "
       f"below {th16} at {when}")
 
+# Under a uniform prior every centre's ball holds the same mass, so the
+# argmax word (min_tail_mass) is refused past MAX_SCORE_CELLS.  The
+# stopping rule needs only the largest ball mass: group transforms of
+# stacked posteriors give it, and only posteriors whose largest mass lies
+# within BALL_MASS_TOL of 1 - threshold are scored exactly.
+flat16 = posterior_trajectory(Pmf([0.5, 0.5]), EncoderMap.letter_cycle(2, N16),
+                              [int(v ^ (rng.random() < 0.1)) for v in
+                               np.tile(v16, 2)], W)
+for th in (0.2, 0.01):
+    t = stopping_threshold_time(flat16, d, D16, th)
+    when = f"t = {t}" if t is not None else "never (within this trajectory)"
+    print(f"N = {N16}, uniform prior, {len(flat16) - 1} outputs: the tail "
+          f"first drops below {th} at {when}")
+
 print()
 rep = certify_map_optimality(P_V, enc, W, d, 0.0, n=4)
 print("certification over all output sequences of length 4:")

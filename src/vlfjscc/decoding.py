@@ -33,6 +33,10 @@ MAX_CERTIFY_CELLS = 2 ** 22
 MAX_SCORE_CELLS = 2 ** 26
 # Cells of one scored block (centres times |V|**N), 32 MiB as float64.
 SCORE_CHUNK_CELLS = 2 ** 22
+# A stacked group transform holds its block's weights and four arrays of the
+# transform's dtype at once: 9 float64 copies of the block when complex, 5
+# when real (base 2).  Stacks are sized by the larger count.
+TRANSFORM_COPIES = 9
 # Transform ball masses within this of the largest are scored exactly.  It
 # sits far above the transform rounding (below 1e-13 at N = 10) and far
 # below any real gap between distinct ball masses.
@@ -191,27 +195,52 @@ def _is_translation_invariant(d: DistortionMatrix) -> bool:
     return bool((d.matrix[a, (a + np.arange(q)) % q] == d.matrix[0]).all())
 
 
+@functools.lru_cache(maxsize=4 * CACHE_ENTRIES)
+def _dft_power(base: int, axes: int, inverse: bool) -> np.ndarray:
+    """Kronecker power, over ``axes`` axes, of the base x base group DFT.
+
+    Entry (a, b), for a and b in word order over Z_base^axes, is
+    w^(a . b mod base) with w = exp(-2 pi i / base), the sign of np.fft;
+    w = -1 makes it the real Walsh-Hadamard matrix for base 2.  The
+    inverse takes conj(w) and the scale base^-axes.  The matrix is
+    symmetric and read-only.
+    """
+    digits = np.indices((base,) * axes).reshape(axes, -1)
+    phase = digits.T @ digits % base
+    if base == 2:
+        roots = np.array([1.0, -1.0])
+    else:
+        roots = np.exp(-2j * np.pi * np.arange(base) / base)
+    if inverse:
+        roots = np.conj(roots) / base ** axes
+    power = roots[phase]
+    power.flags.writeable = False
+    return power
+
+
 def _group_dft(x: np.ndarray, base: int, length: int,
                inverse: bool = False) -> np.ndarray:
-    """DFT over the group Z_base^length of a flat vector in word order.
+    """DFT over the group Z_base^length of a stack of vectors in word order.
 
-    The base x base DFT matrix F, with the sign and scale of np.fft, is
-    applied along one axis of ``x.reshape((base,) * length)`` at a time:
-    each pass transforms the leading axis and moves it last, so after
-    ``length`` passes every axis is transformed and back in place.  F is
-    the real Walsh-Hadamard matrix for base 2.  The inverse applies
-    conj(F) / base.
+    ``x`` has shape (..., base**length); every vector of the stack is
+    transformed, with the sign and scale of np.fft.  A pass applies the
+    Kronecker power of the DFT matrix over the trailing k axes of
+    ``x.reshape(..., (base,) * length)`` as one matmul and moves those axes
+    first, so after passes covering ``length`` axes every axis is
+    transformed and back in place.  k is the most axes whose power has at
+    most 64 rows (6 for base 2, 3 for bases 3 and 4), at least 1.
     """
-    if base == 2:
-        F = np.array([[1.0, 1.0], [1.0, -1.0]])
-    else:
-        k = np.arange(base)
-        F = np.exp(-2j * np.pi * np.outer(k, k) / base)
-    if inverse:
-        F = np.conj(F) / base
-    for _ in range(length):
-        x = (F @ x.reshape(base, -1)).T
-    return x.ravel()
+    lead = x.shape[:-1]
+    per_pass = 1
+    while base ** (per_pass + 1) <= 64:
+        per_pass += 1
+    x = x.reshape(-1, base ** length)
+    for done in range(0, length, per_pass):
+        axes = min(per_pass, length - done)
+        rows = base ** axes
+        y = x.reshape(-1, rows) @ _dft_power(base, axes, inverse)
+        x = y.reshape(len(x), -1, rows).transpose(0, 2, 1)
+    return x.reshape(lead + (base ** length,))
 
 
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
@@ -234,22 +263,42 @@ def _ball_spectrum(base: int, length: int, entries: tuple, D: float):
     return spectrum
 
 
+def _ball_masses(weights: np.ndarray, base: int, length: int,
+                 d: DistortionMatrix, D: float):
+    """Every distortion-D ball mass of each posterior, to rounding, or None.
+
+    ``weights`` is a (..., base**length) stack of posteriors; mass[..., c]
+    is the posterior mass of the ball around centre c.  For a
+    translation-invariant distortion every ball mass is one
+    cross-correlation over Z_q^N of the posterior with the ball-at-zero
+    indicator, so one forward and one inverse _group_dft of the whole
+    stack give them all.  None for any other distortion.
+    """
+    spectrum = _ball_spectrum(base, length,
+                              tuple(map(tuple, d.matrix.tolist())), float(D))
+    if spectrum is None:
+        return None
+    f_post = _group_dft(weights, base, length) * spectrum
+    return _group_dft(f_post, base, length, inverse=True).real
+
+
 def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
     """Largest distortion-D ball mass and its center; lexicographic ties.
 
     The exact score of a centre is the row kernel
     ``(pairwise_distortion(d, centre, words) <= D) @ post.weights``, and
     the answer is the lowest-index centre of largest score.  Only centres
-    that can win are scored.  For a translation-invariant distortion every
-    ball mass is one cross-correlation over Z_q^N of the posterior with the
-    ball-at-zero indicator, so a forward and an inverse group DFT
-    (_group_dft, the q x q DFT matrix once per axis) give all q^N masses to
-    rounding in O(N q^(N+1)); centres more than BALL_MASS_TOL below the
-    largest of them cannot win and are dropped.  Each call then costs that
-    plus |V|^N distortion cells per kept centre.  For any other distortion
-    every centre is scored.  A near-flat posterior, such as a uniform
-    prior, leaves most centres within the tolerance and so still costs
-    |V|^{2N} cells; past MAX_SCORE_CELLS it is refused.
+    that can win are scored.  For a translation-invariant distortion
+    _ball_masses gives all q^N masses to rounding from two group DFTs,
+    each ceil(N / k) matmul passes of q^(N+k) multiply-adds (q^k <= 64);
+    centres more than BALL_MASS_TOL below the largest of them cannot win
+    and are dropped.  Each call then costs that plus |V|^N distortion cells per
+    kept centre.  For any other distortion every centre is scored.  A
+    near-flat posterior, such as a uniform prior, leaves most centres
+    within the tolerance and so still costs |V|^{2N} cells; past
+    MAX_SCORE_CELLS it is refused.  This refusal concerns the argmax word
+    (min_tail_mass, distortion_map_decode); stopping_threshold_time
+    decides such posteriors from the transform alone.
 
     What does not depend on the posterior is cached, up to CACHE_ENTRIES
     entries each: the read-only word table per (q, N), and per (q, N,
@@ -258,13 +307,9 @@ def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
     """
     words = _word_table(post.base, post.length)
     n_words = len(words)
-    spectrum = _ball_spectrum(post.base, post.length,
-                              tuple(map(tuple, d.matrix.tolist())), float(D))
-    invariant = spectrum is not None
+    approx = _ball_masses(post.weights, post.base, post.length, d, D)
+    invariant = approx is not None
     if invariant:
-        f_post = _group_dft(post.weights, post.base, post.length)
-        approx = _group_dft(f_post * spectrum, post.base, post.length,
-                            inverse=True).real
         rows = np.flatnonzero(approx >= approx.max() - BALL_MASS_TOL)
     else:
         rows = np.arange(n_words)
@@ -296,8 +341,11 @@ def min_tail_mass(post: Posterior, d: DistortionMatrix,
     distortion-D ball; lexicographic tie-break.  For Hamming, Lee and any
     other translation-invariant distortion a group DFT over Z_q^N, with
     the ball's spectrum cached per (q, N, d, D), prunes the candidates
-    first, so only the centres that can win are scored exactly; see
-    _best_ball for the cost per call and of a near-flat posterior.
+    first, so only the centres that can win are scored exactly.  Each
+    call costs two group DFTs of one posterior plus |V|^N distortion cells
+    per centre kept; a near-flat posterior keeps most of them and is
+    refused past MAX_SCORE_CELLS (see _best_ball).  To test many
+    posteriors against a threshold, stopping_threshold_time is cheaper.
     """
     mass, word = _best_ball(post, d, D)
     return max(1.0 - mass, 0.0), word
@@ -381,9 +429,51 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
 
 def stopping_threshold_time(trajectory, d: DistortionMatrix, D: float,
                             threshold: float):
-    """First index n with min_tail_mass(trajectory[n]) <= threshold, else None."""
-    for n, post in enumerate(trajectory):
-        value, _ = min_tail_mass(post, d, D)
-        if value <= threshold:
-            return n
+    """First index n with min_tail_mass(trajectory[n]) <= threshold, else None.
+
+    The posteriors must share one (base, length), else ValueError.  For a
+    translation-invariant distortion they are decided in stacks of 1, 2,
+    4, ... posteriors, capped at SCORE_CHUNK_CELLS // (TRANSFORM_COPIES
+    q^N) so the transform's working set stays within one scored block:
+    _ball_masses gives every ball mass of a stack from one forward and one
+    inverse group DFT, and a stop at index n has transformed fewer than 2n
+    + 2 posteriors.  A posterior whose largest mass lies more than
+    BALL_MASS_TOL below 1 - threshold cannot stop and one more than
+    BALL_MASS_TOL above it stops; only one inside that band is decided by
+    min_tail_mass.  A trajectory of T posteriors thus costs O(T N q^N)
+    transform work, plus min_tail_mass of the few in the band.  Near-flat
+    posteriors, such as a uniform prior at binary N >= 14, are not refused
+    here unless one lies inside the band.  Any other distortion has no
+    ball spectrum, so every posterior goes through min_tail_mass in turn.
+    """
+    posts = list(trajectory)
+    if not posts:
+        return None
+    base, length = posts[0].base, posts[0].length
+    spaces = sorted({(post.base, post.length) for post in posts})
+    if len(spaces) > 1:
+        raise ValueError(
+            "the stopping rule stacks the weights of a trajectory's "
+            "posteriors, so they must share one (base, length); this "
+            f"trajectory holds {spaces}")
+    if not _is_translation_invariant(d):
+        for n, post in enumerate(posts):
+            if min_tail_mass(post, d, D)[0] <= threshold:
+                return n
+        return None
+    target = 1.0 - threshold
+    cap = max(1, SCORE_CHUNK_CELLS // (TRANSFORM_COPIES * base ** length))
+    lo, step = 0, 1
+    while lo < len(posts):
+        block = posts[lo:lo + step]
+        bests = _ball_masses(np.stack([post.weights for post in block]),
+                             base, length, d, D).max(axis=1)
+        for n, (post, best) in enumerate(zip(block, bests), lo):
+            if best < target - BALL_MASS_TOL:
+                continue
+            if (best > target + BALL_MASS_TOL
+                    or min_tail_mass(post, d, D)[0] <= threshold):
+                return n
+        lo += len(block)
+        step = min(2 * step, cap)
     return None

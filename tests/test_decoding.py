@@ -480,6 +480,28 @@ def test_group_dft_matches_fftn(base, length):
         assert np.abs(back - x).max() <= 1e-12
 
 
+@pytest.mark.parametrize("base,length", [
+    (2, 1), (2, 6), (2, 7), (2, 13), (3, 3), (3, 4), (3, 7), (4, 3), (4, 4),
+    (4, 7)])
+def test_group_dft_transforms_a_stack_row_by_row(base, length):
+    """A (T, q^N) stack, real and complex, against the transform of each
+    row alone and numpy.fft over the word axes, with the inverse round
+    trip.  The lengths cross the number of axes one pass covers."""
+    rng = np.random.default_rng(base * 100 + length)
+    shape = (base,) * length
+    axes = tuple(range(1, length + 1))
+    real = rng.random((5, base ** length))
+    for x in (real, real + 1j * rng.random(real.shape)):
+        f = decoding._group_dft(x, base, length)
+        assert f.shape == x.shape
+        rows = np.array([decoding._group_dft(row, base, length) for row in x])
+        assert np.abs(f - rows).max() <= 1e-12
+        want = np.fft.fftn(x.reshape((5,) + shape), axes=axes).reshape(5, -1)
+        assert np.abs(f - want).max() <= 1e-12 * base ** length
+        back = decoding._group_dft(f, base, length, inverse=True)
+        assert np.abs(back - x).max() <= 1e-12
+
+
 def test_ball_cache_keys_hold_the_budget_and_the_entries():
     """One posterior, alternating two budgets and two invariant
     distortions of the same alphabet: a cached ball spectrum keyed
@@ -623,6 +645,87 @@ def test_min_tail_mass_at_n16_matches_product_oracle():
     assert value == pytest.approx(tail, abs=1e-12)
 
 
+def popcount_ball_masses(weights: np.ndarray, length: int,
+                         radius: int) -> np.ndarray:
+    """Mass of the Hamming ball of the given radius around every binary
+    centre, by popcount over all (centre, word) pairs.
+
+    Words split into a high and a low half, so the 4^N pairs are counted
+    as (high centre, high word) x (low centre, low word, low distance):
+    mass(c) = sum over u_hi of G[u_hi, c_lo, radius - |c_hi ^ u_hi|], where
+    G holds the mass of row u_hi within each low distance of c_lo.
+    """
+    n_hi = 2 ** (length // 2)
+    n_lo = 2 ** (length - length // 2)
+    lo_bits = length - length // 2
+    post = weights.reshape(n_hi, n_lo)
+    dist_hi = np.bitwise_count(np.arange(n_hi)[:, None] ^ np.arange(n_hi))
+    dist_lo = np.bitwise_count(np.arange(n_lo)[:, None] ^ np.arange(n_lo))
+    within = (dist_lo[:, :, None] <= np.arange(lo_bits + 1)).astype(float)
+    G = np.einsum("hu,cuj->hcj", post, within)
+    budget = radius - dist_hi.astype(int)
+    gathered = G[np.arange(n_hi), :, np.clip(budget, 0, lo_bits)]
+    return ((budget >= 0)[:, :, None] * gathered).sum(axis=1).ravel()
+
+
+def test_stopping_rule_on_the_workload_trajectory_scores_no_cells(
+        monkeypatch):
+    """The benchmark's trajectory (N = 10, D = 0.2, threshold 1e-6): the
+    stop time equals the popcount oracle's and, with the ball spectrum
+    cached, no pairwise_distortion cell is computed."""
+    length, D = 10, 0.2
+    rng = np.random.default_rng(4)
+    v = (rng.random(length) < 0.3).astype(int)
+    yn = [int(v[t % length] ^ (rng.random() < 0.1))
+          for t in range(2 * length)]
+    traj = posterior_trajectory(Pmf([0.7, 0.3]),
+                                EncoderMap.letter_cycle(2, length), yn,
+                                bsc(0.1))
+    d = hamming_distortion(2)
+    tails = [1.0 - popcount_ball_masses(post.weights, length, 2).max()
+             for post in traj]
+    min_tail_mass(traj[0], d, D)  # caches the ball spectrum
+    sizes = count_cells(monkeypatch)
+    for threshold in (1e-6, 1e-3, 0.2):
+        sizes.clear()
+        want = next((n for n, t in enumerate(tails) if t <= threshold), None)
+        assert stopping_threshold_time(traj, d, D, threshold) == want
+        if threshold == 1e-6:
+            assert sizes == []
+
+
+def test_stopping_rule_decides_near_flat_posteriors_past_the_cell_guard(
+        monkeypatch):
+    """Uniform prior at binary N = 14, where min_tail_mass refuses the
+    near-flat early posteriors: the rule returns the popcount oracle's
+    stop time for several thresholds and scores no cell doing so."""
+    length, D, radius = 14, 0.25, 3
+    assert 4 ** length > decoding.MAX_SCORE_CELLS
+    rng = np.random.default_rng(14)
+    v = rng.integers(0, 2, size=length)
+    yn = [int(v[t % length] ^ (rng.random() < 0.1))
+          for t in range(2 * length)]
+    traj = posterior_trajectory(Pmf([0.5, 0.5]),
+                                EncoderMap.letter_cycle(2, length), yn,
+                                bsc(0.1))
+    d = hamming_distortion(2)
+    with pytest.raises(ValueError, match="near flat"):
+        min_tail_mass(traj[0], d, D)
+    tails = [1.0 - popcount_ball_masses(post.weights, length, radius).max()
+             for post in traj]
+    assert tails[-1] == pytest.approx(min_tail_mass(traj[-1], d, D)[0],
+                                      abs=1e-12)
+    sizes = count_cells(monkeypatch)
+    stops = set()
+    for threshold in (0.5, 0.1, 0.02, 1e-3):
+        assert min(abs(t - threshold) for t in tails) > 1e-6
+        want = next((n for n, t in enumerate(tails) if t <= threshold), None)
+        assert stopping_threshold_time(traj, d, D, threshold) == want
+        stops.add(want)
+    assert sizes == []
+    assert len(stops) == 4 and min(s for s in stops if s is not None) > 0
+
+
 # ----------------------------------------------------------------------
 # certify_map_optimality
 # ----------------------------------------------------------------------
@@ -716,6 +819,94 @@ def test_stopping_time_monotone_in_threshold_random_trajectories():
             assert t_hi == oracle_hi
             if t_lo is not None:
                 assert t_hi is not None and t_hi <= t_lo
+
+
+def random_trajectory(base: int, length: int, steps: int,
+                      rng: np.random.Generator) -> list:
+    """Posteriors of a random_table encoder over a random base x 3 channel."""
+    W = ChannelMatrix(rng.dirichlet(np.ones(3), size=base))
+    P = Pmf(rng.dirichlet(np.ones(base)))
+    enc = EncoderMap.random_table(base, length, base, rng)
+    yn = tuple(int(y) for y in rng.integers(0, 3, size=steps))
+    return posterior_trajectory(P, enc, yn, W)
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["doubling", "capped-at-3"])
+@pytest.mark.parametrize("name,length", [
+    ("hamming2", 5), ("hamming3", 3), ("hamming4", 3), ("lee4", 3),
+    ("skewed2", 5)])
+def test_stop_times_equal_the_per_posterior_scan(monkeypatch, name, length,
+                                                 cap):
+    """Thresholds at each posterior's exact tail and its float neighbours
+    put posteriors inside the tolerance band, where min_tail_mass decides.
+    Stacks hold 1, 2, 4, ... posteriors up to the memory cap, so a stop
+    transforms fewer than twice the posteriors it decides; with the cap at
+    3 the rule returns from blocks past it.  A distortion that is not
+    translation-invariant stacks nothing."""
+    d = DISTORTIONS[name]
+    base = d.alphabet_size
+    if cap is not None:
+        monkeypatch.setattr(decoding, "SCORE_CHUNK_CELLS",
+                            cap * decoding.TRANSFORM_COPIES * base ** length)
+    scan = decoding.min_tail_mass
+    stacked = decoding._ball_masses
+    exact_calls, blocks = [], []
+
+    def counting(post, dd, DD):
+        exact_calls.append(post)
+        return scan(post, dd, DD)
+
+    def recording(weights, *args):
+        if weights.ndim == 2:
+            blocks.append(len(weights))
+        return stacked(weights, *args)
+
+    monkeypatch.setattr(decoding, "min_tail_mass", counting)
+    monkeypatch.setattr(decoding, "_ball_masses", recording)
+    rng = np.random.default_rng(base * 10 + length)
+    stops = set()
+    for _ in range(3):
+        traj = random_trajectory(base, length, 9, rng)
+        for D in budgets(name, length):
+            values = [scan(post, d, D)[0] for post in traj]
+            thresholds = {0.0, 1.0}
+            for v in values:
+                thresholds |= {v, np.nextafter(v, -1.0), np.nextafter(v, 2.0)}
+            for threshold in sorted(thresholds):
+                want = next((n for n, v in enumerate(values)
+                             if v <= threshold), None)
+                blocks.clear()
+                assert stopping_threshold_time(traj, d, D, threshold) == want
+                stops.add(want)
+                if name == "skewed2":
+                    assert blocks == []
+                    continue
+                decided = len(traj) if want is None else want + 1
+                step, covered = 1, 0
+                for size in blocks:
+                    assert size == min(step, len(traj) - covered)
+                    covered += size
+                    step = 2 * step if cap is None else min(2 * step, cap)
+                assert covered - blocks[-1] < decided <= covered
+                assert covered < 2 * decided
+    assert exact_calls
+    if cap is not None:
+        assert max(s for s in stops if s is not None) >= 2 * cap
+
+
+def test_stopping_rule_refuses_mixed_word_spaces():
+    """The posteriors are stacked, so they must share one (base, length);
+    the refusal comes before any posterior is decided."""
+    P = Pmf([0.5, 0.5])
+    short = posterior_trajectory(P, EncoderMap.letter_cycle(2, 2), (0, 1),
+                                 bsc(0.1))
+    long = posterior_trajectory(P, EncoderMap.letter_cycle(2, 3), (0,),
+                                bsc(0.1))
+    ternary = [Posterior.from_prior(Pmf([0.2, 0.3, 0.5]), 2)]
+    for traj in (short + long, short + ternary):
+        with pytest.raises(ValueError, match=r"share one \(base, length\)"):
+            stopping_threshold_time(traj, hamming_distortion(2), 0.0, 1.0)
+    assert stopping_threshold_time([], hamming_distortion(2), 0.0, 1.0) is None
 
 
 # ----------------------------------------------------------------------
