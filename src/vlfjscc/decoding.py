@@ -10,7 +10,6 @@ stopping times on posterior trajectories.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,13 +187,6 @@ def posterior_trajectory(P_V: Pmf, enc: EncoderMap, yn,
     return list(_posteriors(P_V, enc, yn, W))
 
 
-def _is_translation_invariant(d: DistortionMatrix) -> bool:
-    """d(a, b) depends only on (b - a) mod |V|, as Hamming and Lee do."""
-    q = d.alphabet_size
-    a = np.arange(q)[:, None]
-    return bool((d.matrix[a, (a + np.arange(q)) % q] == d.matrix[0]).all())
-
-
 @functools.lru_cache(maxsize=4 * CACHE_ENTRIES)
 def _dft_power(base: int, axes: int, inverse: bool) -> np.ndarray:
     """Kronecker power, over ``axes`` axes, of the base x base group DFT.
@@ -247,12 +239,13 @@ def _group_dft(x: np.ndarray, base: int, length: int,
 def _ball_spectrum(base: int, length: int, entries: tuple, D: float):
     """conj of the group DFT of the ball-at-zero indicator, or None.
 
-    None when the distortion with these entries is not
-    translation-invariant, since its ball masses are then no correlation
-    over the group.
+    None unless d(a, b) depends only on (b - a) mod |V|, as Hamming and
+    Lee do: other ball masses are no correlation over the group.
     """
     d = DistortionMatrix(entries)
-    if not _is_translation_invariant(d):
+    q = d.alphabet_size
+    a = np.arange(q)[:, None]
+    if (d.matrix[a, (a + np.arange(q)) % q] != d.matrix[0]).any():
         return None
     words = _word_table(base, length)
     ball = (pairwise_distortion(d, words[:1], words)[0] <= D).astype(float)
@@ -263,21 +256,54 @@ def _ball_spectrum(base: int, length: int, entries: tuple, D: float):
     return spectrum
 
 
+def _scored_masses(weights: np.ndarray, base: int, length: int,
+                   d: DistortionMatrix, D: float, rows=None) -> np.ndarray:
+    """Exact ball masses of a (..., base**length) stack around ``rows``.
+
+    mass[..., k] is ``(pairwise_distortion(d, c, words) <= D) @ weights``
+    for centre c = rows[k] (every centre when None), in blocks of at most
+    SCORE_CHUNK_CELLS cells; a stacked posterior scores as it would alone,
+    bit for bit.  Past MAX_SCORE_CELLS cells it refuses before scoring.
+    """
+    words = _word_table(base, length)
+    n_words = len(words)
+    if rows is None:
+        rows = np.arange(n_words)
+        why = ("the distortion is not translation-invariant, so every "
+               "centre is scored")
+    else:
+        why = (f"the posterior is near flat, as a uniform prior is, so "
+               f"{len(rows)} centres lie within {BALL_MASS_TOL:g} of the "
+               "best ball mass")
+    if len(rows) * n_words > MAX_SCORE_CELLS:
+        raise ValueError(
+            f"ball masses over {n_words} source words: {why}; "
+            f"{len(rows)} x {n_words} cells exceed the scoring guard of "
+            f"{MAX_SCORE_CELLS}")
+    masses = np.empty(weights.shape[:-1] + (len(rows),))
+    step = max(1, SCORE_CHUNK_CELLS // n_words)
+    for lo in range(0, len(rows), step):
+        inside = pairwise_distortion(d, words[rows[lo:lo + step]], words) <= D
+        masses[..., lo:lo + step] = (inside @ weights[..., None])[..., 0]
+    return masses
+
+
 def _ball_masses(weights: np.ndarray, base: int, length: int,
-                 d: DistortionMatrix, D: float):
-    """Every distortion-D ball mass of each posterior, to rounding, or None.
+                 d: DistortionMatrix, D: float) -> np.ndarray:
+    """Every distortion-D ball mass of each posterior of a stack.
 
     ``weights`` is a (..., base**length) stack of posteriors; mass[..., c]
     is the posterior mass of the ball around centre c.  For a
     translation-invariant distortion every ball mass is one
     cross-correlation over Z_q^N of the posterior with the ball-at-zero
     indicator, so one forward and one inverse _group_dft of the whole
-    stack give them all.  None for any other distortion.
+    stack give them all to rounding.  Any other distortion scores every
+    centre exactly with _scored_masses.
     """
     spectrum = _ball_spectrum(base, length,
                               tuple(map(tuple, d.matrix.tolist())), float(D))
     if spectrum is None:
-        return None
+        return _scored_masses(weights, base, length, d, D)
     f_post = _group_dft(weights, base, length) * spectrum
     return _group_dft(f_post, base, length, inverse=True).real
 
@@ -285,52 +311,32 @@ def _ball_masses(weights: np.ndarray, base: int, length: int,
 def _best_ball(post: Posterior, d: DistortionMatrix, D: float) -> tuple:
     """Largest distortion-D ball mass and its center; lexicographic ties.
 
-    The exact score of a centre is the row kernel
-    ``(pairwise_distortion(d, centre, words) <= D) @ post.weights``, and
-    the answer is the lowest-index centre of largest score.  Only centres
-    that can win are scored.  For a translation-invariant distortion
-    _ball_masses gives all q^N masses to rounding from two group DFTs,
-    each ceil(N / k) matmul passes of q^(N+k) multiply-adds (q^k <= 64);
-    centres more than BALL_MASS_TOL below the largest of them cannot win
-    and are dropped.  Each call then costs that plus |V|^N distortion cells per
-    kept centre.  For any other distortion every centre is scored.  A
-    near-flat posterior, such as a uniform prior, leaves most centres
-    within the tolerance and so still costs |V|^{2N} cells; past
-    MAX_SCORE_CELLS it is refused.  This refusal concerns the argmax word
-    (min_tail_mass, distortion_map_decode); stopping_threshold_time
-    decides such posteriors from the transform alone.
+    The answer is the lowest-index centre of largest exact score (see
+    _scored_masses).  _ball_masses gives every ball mass; centres more
+    than BALL_MASS_TOL below the largest cannot win, and the rest are
+    scored exactly.  For a translation-invariant distortion the masses
+    come from two group DFTs, each ceil(N / k) matmul passes of q^(N+k)
+    multiply-adds (q^k <= 64), and a call costs that plus |V|^N
+    distortion cells per kept centre; for any other distortion the
+    masses cost |V|^{2N} cells first.  A near-flat posterior, such as a
+    uniform prior, keeps most centres and so still costs |V|^{2N} cells;
+    past MAX_SCORE_CELLS either pass is refused.  This refusal concerns
+    the argmax word (min_tail_mass, distortion_map_decode);
+    stopping_threshold_time decides such posteriors from the masses
+    alone.
 
     What does not depend on the posterior is cached, up to CACHE_ENTRIES
     entries each: the read-only word table per (q, N), and per (q, N,
-    distortion entries, D) the translation-invariance test with the
-    conjugated spectrum of the ball-at-zero indicator.
+    distortion entries, D) the conjugated spectrum of the ball-at-zero
+    indicator, or None for a distortion that is not
+    translation-invariant.
     """
-    words = _word_table(post.base, post.length)
-    n_words = len(words)
-    approx = _ball_masses(post.weights, post.base, post.length, d, D)
-    invariant = approx is not None
-    if invariant:
-        rows = np.flatnonzero(approx >= approx.max() - BALL_MASS_TOL)
-    else:
-        rows = np.arange(n_words)
-    if len(rows) * n_words > MAX_SCORE_CELLS:
-        why = (f"the posterior is near flat, as a uniform prior is, so "
-               f"{len(rows)} centres lie within {BALL_MASS_TOL:g} of the "
-               "best ball mass" if invariant else
-               "the distortion is not translation-invariant, so every "
-               "centre is scored")
-        raise ValueError(
-            f"ball masses over {n_words} source words: {why}; "
-            f"{len(rows)} x {n_words} cells exceed the scoring guard of "
-            f"{MAX_SCORE_CELLS}")
-    masses = np.empty(len(rows))
-    step = max(1, SCORE_CHUNK_CELLS // n_words)
-    for lo in range(0, len(rows), step):
-        block = pairwise_distortion(d, words[rows[lo:lo + step]], words)
-        masses[lo:lo + step] = (block <= D) @ post.weights
-    k = int(np.argmax(masses))
+    masses = _ball_masses(post.weights, post.base, post.length, d, D)
+    rows = np.flatnonzero(masses >= masses.max() - BALL_MASS_TOL)
+    exact = _scored_masses(post.weights, post.base, post.length, d, D, rows)
+    k = int(np.argmax(exact))
     word = np.unravel_index(int(rows[k]), (post.base,) * post.length)
-    return float(masses[k]), tuple(int(v) for v in word)
+    return float(exact[k]), tuple(int(v) for v in word)
 
 
 def min_tail_mass(post: Posterior, d: DistortionMatrix,
@@ -338,14 +344,14 @@ def min_tail_mass(post: Posterior, d: DistortionMatrix,
     """Smallest achievable conditional excess mass and its candidate word.
 
     Exact minimum over all candidates of the posterior mass outside the
-    distortion-D ball; lexicographic tie-break.  For Hamming, Lee and any
-    other translation-invariant distortion a group DFT over Z_q^N, with
-    the ball's spectrum cached per (q, N, d, D), prunes the candidates
-    first, so only the centres that can win are scored exactly.  Each
-    call costs two group DFTs of one posterior plus |V|^N distortion cells
-    per centre kept; a near-flat posterior keeps most of them and is
-    refused past MAX_SCORE_CELLS (see _best_ball).  To test many
-    posteriors against a threshold, stopping_threshold_time is cheaper.
+    distortion-D ball; lexicographic tie-break.  _best_ball finds every
+    ball mass, by a group DFT over Z_q^N for Hamming, Lee and any other
+    translation-invariant distortion and by exact scoring for any other,
+    and rescores exactly only the centres that can win.  A near-flat
+    posterior keeps most centres and is refused past MAX_SCORE_CELLS, as
+    is every centre of a distortion that is not translation-invariant
+    (see _best_ball).  To test many posteriors against a threshold,
+    stopping_threshold_time is cheaper.
     """
     mass, word = _best_ball(post, d, D)
     return max(1.0 - mass, 0.0), word
@@ -356,9 +362,9 @@ def distortion_map_decode(post: Posterior, d: DistortionMatrix,
     """Word whose distortion-D ball carries the largest posterior mass.
 
     Ties break to the lexicographically smallest word.  At D=0 with a
-    zero-diagonal distortion this is plain MAP decoding.  Candidates are
-    pruned by a group DFT for translation-invariant distortions and scored
-    exactly; see _best_ball.
+    zero-diagonal distortion this is plain MAP decoding.  Every ball mass
+    is found first and the centres that can win are scored exactly; see
+    _best_ball.
     """
     return _best_ball(post, d, D)[1]
 
@@ -384,6 +390,9 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
     decisions, recomputed here by direct enumeration (independent of the
     decoder's own ball-mass machinery).  Also accumulates the overall
     excess probability of the decoded word under the true output law.
+    The joints are built level by level over output prefixes, one
+    encoder call per prefix shorter than n, and all |Y|^n are held at once
+    (at most MAX_CERTIFY_CELLS floats).
     """
     base = len(P_V)
     length = enc.word_length
@@ -394,7 +403,12 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
         decoder = distortion_map_decode
 
     words = _word_table(base, length)
-    prior = Posterior.from_prior(P_V, length).weights
+    prefixes, joints = [()], Posterior.from_prior(P_V, length).weights[None]
+    for step in range(n):
+        x = np.array([enc.inputs_for_words(step, words, h) for h in prefixes])
+        joints = joints[:, None, :] * W.matrix[x].transpose(0, 2, 1)
+        joints = joints.reshape(-1, n_words)
+        prefixes = [h + (y,) for h in prefixes for y in range(W.num_outputs)]
     # outside[c, v] = 1 where d(c, v) > D: the word-distortion rule itself,
     # not the decoder's kernels, one centre at a time to bound memory.
     outside = np.array([distortion(d, c, words) > D for c in words], float)
@@ -403,11 +417,7 @@ def certify_map_optimality(P_V: Pmf, enc: EncoderMap, W: ChannelMatrix,
     worst = None
     excess_total = 0.0
     skipped = 0
-    for yn in itertools.product(range(W.num_outputs), repeat=n):
-        joint = prior.copy()
-        for step in range(n):
-            x = enc.inputs_for_words(step, words, yn[:step])
-            joint *= W.matrix[x, yn[step]]
+    for yn, joint in zip(prefixes, joints):
         evidence = float(joint.sum())
         if evidence <= 0.0:
             skipped += 1
@@ -431,20 +441,18 @@ def stopping_threshold_time(trajectory, d: DistortionMatrix, D: float,
                             threshold: float):
     """First index n with min_tail_mass(trajectory[n]) <= threshold, else None.
 
-    The posteriors must share one (base, length), else ValueError.  For a
-    translation-invariant distortion they are decided in stacks of 1, 2,
-    4, ... posteriors, capped at SCORE_CHUNK_CELLS // (TRANSFORM_COPIES
-    q^N) so the transform's working set stays within one scored block:
-    _ball_masses gives every ball mass of a stack from one forward and one
-    inverse group DFT, and a stop at index n has transformed fewer than 2n
-    + 2 posteriors.  A posterior whose largest mass lies more than
-    BALL_MASS_TOL below 1 - threshold cannot stop and one more than
-    BALL_MASS_TOL above it stops; only one inside that band is decided by
-    min_tail_mass.  A trajectory of T posteriors thus costs O(T N q^N)
-    transform work, plus min_tail_mass of the few in the band.  Near-flat
-    posteriors, such as a uniform prior at binary N >= 14, are not refused
-    here unless one lies inside the band.  Any other distortion has no
-    ball spectrum, so every posterior goes through min_tail_mass in turn.
+    The posteriors must share one (base, length), else ValueError.  They
+    are decided in stacks of 1, 2, 4, ... posteriors, capped at
+    SCORE_CHUNK_CELLS // (TRANSFORM_COPIES q^N) so a stack's working set
+    stays within one scored block: _ball_masses gives every ball mass of
+    a stack, and a stop at index n has taken fewer than 2n + 2 of them.
+    A posterior whose largest mass lies more than BALL_MASS_TOL below
+    1 - threshold cannot stop and one more than BALL_MASS_TOL above it
+    stops; only one inside that band goes through min_tail_mass.  A stack
+    costs two group DFTs for a translation-invariant distortion, so
+    near-flat posteriors, such as a uniform prior at binary N >= 14, are
+    refused only inside the band; for any other distortion it costs
+    q^{2N} distortion cells, whatever its size.
     """
     posts = list(trajectory)
     if not posts:
@@ -456,11 +464,6 @@ def stopping_threshold_time(trajectory, d: DistortionMatrix, D: float,
             "the stopping rule stacks the weights of a trajectory's "
             "posteriors, so they must share one (base, length); this "
             f"trajectory holds {spaces}")
-    if not _is_translation_invariant(d):
-        for n, post in enumerate(posts):
-            if min_tail_mass(post, d, D)[0] <= threshold:
-                return n
-        return None
     target = 1.0 - threshold
     cap = max(1, SCORE_CHUNK_CELLS // (TRANSFORM_COPIES * base ** length))
     lo, step = 0, 1

@@ -384,20 +384,15 @@ class _MessagePhase:
                                  rival))
 
 
-@dataclass
-class _ChunkResult:
-    tau: np.ndarray
-    excess: np.ndarray
-
-
 def _simulate_chunk(cfg: SchemeConfig, codes: CodeSet, model: SystemModel,
                     n_trials: int, rng: np.random.Generator,
                     session_cap: int, trial_offset: int,
-                    message_phase: _MessagePhase) -> _ChunkResult:
+                    message_phase: _MessagePhase) -> tuple:
+    """(tau, excess) of n_trials sessions on fresh source words."""
     v = sample_pmf_batch(model.P_V, (n_trials, cfg.N), rng)
     tau, dist = _sessions(cfg, codes, model.W, v, message_phase.decide, rng,
                           session_cap, trial_offset)
-    return _ChunkResult(tau=tau, excess=dist > codes.source.D)
+    return tau, dist > codes.source.D
 
 
 # ----------------------------------------------------------------------
@@ -466,8 +461,8 @@ def monte_carlo(cfg: SchemeConfig, model: SystemModel, trials: int,
                               rng.generator("mc", i), session_cap,
                               trial_offset=lo, message_phase=message_phase)
               for i, lo in enumerate(range(0, trials, CHUNK_TRIALS))]
-    tau = np.concatenate([res.tau for res in chunks])
-    excess = np.concatenate([res.excess for res in chunks])
+    taus, excesses = zip(*chunks)
+    tau, excess = np.concatenate(taus), np.concatenate(excesses)
 
     k_excess = int(excess.sum())
     pd_hat = k_excess / trials

@@ -2,7 +2,8 @@
 
 A metric whose base quartile spread over its median exceeds its bound
 is reported ``resolved: false``: the pairs cannot tell a regression of
-the bound's size from noise.  The tool is loaded by path.
+the bound's size from noise.  Each workload's verdict line reports its
+digests, correctness and failed shares.  The tool is loaded by path.
 """
 
 import importlib.util
@@ -41,3 +42,22 @@ def test_metric_wider_than_its_bound_is_unresolved():
     assert report["ops_per_s"]["change_wins"] == 5
     assert report["setup_s"]["resolved"] is False
     assert report["setup_s"]["base_spread"] > 0.25
+
+
+def test_verdict_line_reports_digests_correctness_and_failed_shares():
+    bench_pair = load_bench_pair()
+    metrics = {"ops_per_s": {"unit": "1/s", "better": "higher", "bound": 0.24}}
+    base = [run(100, 0.2) for _ in range(3)]
+    change = [run(100, 0.2) for _ in range(3)]
+    base[1].update(failed=1, attempted=1028)
+    change[2].update(correct=False, failed=3, attempted=12, digest="e")
+    report = bench_pair.workload_report({"base": base, "change": change},
+                                        metrics)
+    assert report["digests_identical"] is False
+    assert bench_pair.verdict_line("mc-bsc-n20", report) == (
+        "mc-bsc-n20: digests_identical: false; "
+        "base correct: true largest failed share: 0.000972763, "
+        "change correct: false largest failed share: 0.25")
+    same = bench_pair.workload_report({"base": base, "change": base}, metrics)
+    assert bench_pair.verdict_line("w", same).startswith(
+        "w: digests_identical: true; base correct: true ")

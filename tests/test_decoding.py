@@ -586,16 +586,20 @@ def test_workload_posterior_scores_a_few_rows(monkeypatch):
 
 @pytest.mark.parametrize("chunk_cells", [100, 1000])
 def test_scoring_blocks_stay_within_the_chunk(monkeypatch, chunk_cells):
-    """Every row of a non-invariant distortion is scored, in blocks of at
-    most max(1, SCORE_CHUNK_CELLS // |V|^N) rows."""
+    """Every row of a non-invariant distortion is scored, then the rows
+    within BALL_MASS_TOL of the largest mass are scored again, in blocks
+    of at most max(1, SCORE_CHUNK_CELLS // |V|^N) rows.  The brute-force
+    check calls min_tail_mass and distortion_map_decode, two passes."""
     length = 8
     monkeypatch.setattr(decoding, "SCORE_CHUNK_CELLS", chunk_cells)
     sizes = count_cells(monkeypatch)
     for post in dirichlet_posteriors(2, length, 8):
         for D in budgets("skewed2", length):
+            masses = (brute_distortions("skewed2", length) <= D) @ post.weights
+            kept = int(np.sum(masses >= masses.max() - decoding.BALL_MASS_TOL))
             sizes.clear()
             check_against_brute_force(post, "skewed2", D)
-            assert sum(sizes) == 2 * 4 ** length
+            assert sum(sizes) == 2 * (4 ** length + kept * 2 ** length)
             assert max(sizes) <= max(chunk_cells, 2 ** length)
 
 
@@ -773,6 +777,79 @@ def test_certify_size_guard():
             hamming_distortion(2), 0.0, 7)
 
 
+def per_output_certification(P_V, enc, W, d, D, n, decoder):
+    """certify_map_optimality as one loop over output words: each joint is
+    rebuilt from the prior with n encoder calls, in step order."""
+    base, length = len(P_V), enc.word_length
+    words = enumerate_words(base, length)
+    prior = Posterior.from_prior(P_V, length).weights
+    outside = np.array([distortion(d, c, words) > D for c in words], float)
+    max_violation, worst, excess_total, skipped = 0.0, None, 0.0, 0
+    for yn in itertools.product(range(W.num_outputs), repeat=n):
+        joint = prior.copy()
+        for step in range(n):
+            x = enc.inputs_for_words(step, words, yn[:step])
+            joint *= W.matrix[x, yn[step]]
+        evidence = float(joint.sum())
+        if evidence <= 0.0:
+            skipped += 1
+            continue
+        post = joint / evidence
+        tails = outside @ post
+        decided = decoder(Posterior(base, length, post), d, D)
+        dec_tail = float(tails[word_index(decided, base)])
+        violation = dec_tail - float(tails.min())
+        if violation > max_violation:
+            max_violation, worst = violation, yn
+        excess_total += evidence * dec_tail
+    return (max_violation, worst, excess_total, W.num_outputs ** n, skipped)
+
+
+def anti_map(post, d, D):
+    """The centre whose ball holds the least posterior mass."""
+    words = enumerate_words(post.base, post.length)
+    masses = [sum(w for u, w in zip(words, post.weights)
+                  if distortion(d, c, u) <= D) for c in words]
+    return tuple(int(v) for v in words[int(np.argmin(masses))])
+
+
+@pytest.mark.parametrize("W,length,n,zero_outputs", [
+    (bsc(0.1), 4, 8, False),
+    (ChannelMatrix([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]), 3, 5, False),
+    (ChannelMatrix([[0.7, 0.3, 0.0], [0.0, 0.4, 0.6]]), 2, 5, True)],
+    ids=["bsc-n8", "three-outputs", "zero-entries"])
+@pytest.mark.parametrize("decoder", [distortion_map_decode, anti_map],
+                         ids=["map", "anti-map"])
+def test_certification_walks_output_prefixes(W, length, n, zero_outputs,
+                                             decoder):
+    """One encoder call per output prefix shorter than n, (|Y|^n - 1) /
+    (|Y| - 1) in all (255 at |Y| = 2, n = 8), and a report equal, bit for
+    bit, to the per-output loop's.  With zero channel entries some output
+    words have probability zero and are skipped."""
+    rng = np.random.default_rng(100 * length + n)
+    P_V = Pmf(rng.dirichlet(np.ones(2)))
+    enc = EncoderMap.random_table(2, length, 2, rng)
+    d, D = hamming_distortion(2), 0.25
+    histories = []
+    batch = enc.inputs_for_words
+
+    def counting(step, words, history):
+        histories.append(tuple(history))
+        return batch(step, words, history)
+
+    want = per_output_certification(P_V, enc, W, d, D, n, decoder)
+    enc.inputs_for_words = counting
+    rep = certify_map_optimality(P_V, enc, W, d, D, n, decoder=decoder)
+    K = W.num_outputs
+    assert len(histories) == (K ** n - 1) // (K - 1)
+    assert len(set(histories)) == len(histories)
+    got = (rep.max_violation, rep.worst_output, rep.excess_probability,
+           rep.outputs_checked, rep.zero_probability_outputs)
+    assert repr(got) == repr(want)
+    assert (rep.zero_probability_outputs > 0) == zero_outputs
+    assert (rep.max_violation > 1e-12) == (decoder is anti_map)
+
+
 # ----------------------------------------------------------------------
 # stopping_threshold_time
 # ----------------------------------------------------------------------
@@ -842,7 +919,7 @@ def test_stop_times_equal_the_per_posterior_scan(monkeypatch, name, length,
     Stacks hold 1, 2, 4, ... posteriors up to the memory cap, so a stop
     transforms fewer than twice the posteriors it decides; with the cap at
     3 the rule returns from blocks past it.  A distortion that is not
-    translation-invariant stacks nothing."""
+    translation-invariant is stacked the same way."""
     d = DISTORTIONS[name]
     base = d.alphabet_size
     if cap is not None:
@@ -878,9 +955,6 @@ def test_stop_times_equal_the_per_posterior_scan(monkeypatch, name, length,
                 blocks.clear()
                 assert stopping_threshold_time(traj, d, D, threshold) == want
                 stops.add(want)
-                if name == "skewed2":
-                    assert blocks == []
-                    continue
                 decided = len(traj) if want is None else want + 1
                 step, covered = 1, 0
                 for size in blocks:
@@ -892,6 +966,49 @@ def test_stop_times_equal_the_per_posterior_scan(monkeypatch, name, length,
     assert exact_calls
     if cap is not None:
         assert max(s for s in stops if s is not None) >= 2 * cap
+
+
+def test_skewed_stacks_score_every_cell_once_per_stack(monkeypatch):
+    """SKEWED2 is not translation-invariant, so each stack of the stopping
+    rule scores all 4^N (centre, word) cells once, whatever its size; a
+    posterior inside the tolerance band adds min_tail_mass, 4^N cells
+    plus 2^N per centre within BALL_MASS_TOL of its best.  Scanning the
+    posteriors one at a time would score 4^N cells per posterior.  The
+    letter-cycle trajectory at N = 8 has 17 strictly falling tails;
+    thresholds sit at each exact tail, between tails and below the
+    last."""
+    length, D = 8, 0.25
+    n_words = 2 ** length
+    rng = np.random.default_rng(8)
+    v = (rng.random(length) < 0.3).astype(int)
+    yn = [int(v[t % length] ^ (rng.random() < 0.1))
+          for t in range(2 * length)]
+    traj = posterior_trajectory(Pmf([0.7, 0.3]),
+                                EncoderMap.letter_cycle(2, length), yn,
+                                bsc(0.1))
+    masses = [(brute_distortions("skewed2", length) <= D) @ post.weights
+              for post in traj]
+    tails = [min_tail_mass(post, SKEWED2, D)[0] for post in traj]
+    assert all(a > b for a, b in zip(tails, tails[1:])) and tails[-1] > 0
+    between = [math.sqrt(a * b) for a, b in zip(tails, tails[1:])]
+    sizes = count_cells(monkeypatch)
+    banded = 0
+    for threshold in tails + between + [0.0]:
+        want = next((n for n, t in enumerate(tails) if t <= threshold), None)
+        decided = len(traj) if want is None else want + 1
+        cells = decided.bit_length() * n_words ** 2
+        for m in masses[:decided]:
+            if abs(m.max() - (1.0 - threshold)) <= decoding.BALL_MASS_TOL:
+                kept = int(np.sum(m >= m.max() - decoding.BALL_MASS_TOL))
+                cells += n_words ** 2 + kept * n_words
+                banded += 1
+        sizes.clear()
+        assert stopping_threshold_time(traj, SKEWED2, D, threshold) == want
+        assert sum(sizes) == cells
+        assert max(sizes) <= max(decoding.SCORE_CHUNK_CELLS, n_words)
+        if want is None:
+            assert cells == 5 * n_words ** 2 < len(traj) * n_words ** 2
+    assert banded == len(tails)
 
 
 def test_stopping_rule_refuses_mixed_word_spaces():

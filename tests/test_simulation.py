@@ -348,14 +348,14 @@ def test_batch_engine_excess_is_the_encoders_cover_verdict():
                        msg_len=7, ctrl_len=2, R_D=0.0, C=model.params.C,
                        master_seed=0)
     n = 2048
-    res = _simulate_chunk(cfg, codes, model, n, np.random.default_rng(4),
-                          session_cap=1000, trial_offset=0,
-                          message_phase=_MessagePhase(W, codes.caid, 7, 1))
+    _, excess = _simulate_chunk(
+        cfg, codes, model, n, np.random.default_rng(4), session_cap=1000,
+        trial_offset=0, message_phase=_MessagePhase(W, codes.caid, 7, 1))
     # The chunk's source words are the first draws of its stream; the
     # encoder's verdict is its kernel, pairwise_distortion, against D.
     v = sample_pmf_batch(model.P_V, (n, 9), np.random.default_rng(4))
     dist = pairwise_distortion(BOUNDARY_D, v, source.reproductions)[:, 0]
-    assert np.array_equal(res.excess, dist > BOUNDARY_RADIUS)
+    assert np.array_equal(excess, dist > BOUNDARY_RADIUS)
     # Some words sit where a pairwise-summed mean would read above D.
     mean = BOUNDARY_D.matrix[v, source.reproductions[0]].mean(axis=1)
     assert ((mean > BOUNDARY_RADIUS) & (dist <= BOUNDARY_RADIUS)).any()

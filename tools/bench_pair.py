@@ -20,7 +20,9 @@ bound's size from noise.  Per workload, both sides'
 determinism digests, correctness, failed shares and, per run, the
 ``FAILED check`` lines ``run.py`` wrote to stderr, which name the checks
 behind an incorrect run (they are printed too); and the machine block
-that ``run.py`` prints.  ``change_snapshot`` records what the
+that ``run.py`` prints.  After the metric lines, one line per workload
+says whether the digests are identical, and each side's correctness and
+largest failed share.  ``change_snapshot`` records what the
 working-tree copy held: its HEAD, file count and ``git status`` lines.
 """
 
@@ -126,6 +128,16 @@ def workload_report(runs: dict, metrics: dict) -> dict:
     return report
 
 
+def verdict_line(workload: str, report: dict) -> str:
+    """One line per workload: digests, correctness and largest failed share."""
+    sides = ", ".join(
+        f"{side} correct: {str(report[side]['correct']).lower()} "
+        f"largest failed share: {max(report[side]['failed_shares']):.6g}"
+        for side in SIDES)
+    return (f"{workload}: digests_identical: "
+            f"{str(report['digests_identical']).lower()}; {sides}")
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pairs", type=int, default=10,
@@ -184,6 +196,7 @@ def main() -> int:
                   f"{m['pairs']} pairs won), base spread "
                   f"{m['base_spread']:.3g} vs bound {m['bound']}, "
                   f"resolved: {str(m['resolved']).lower()}")
+        print(verdict_line(workload, rep))
     return 0
 
 
