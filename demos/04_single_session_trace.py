@@ -30,7 +30,7 @@ print(f"{'session':>8} {'tau':>5} {'blocks':>7} {'distortion':>11} "
 for i in range(12):
     rec = run_session(cfg, codes, model.W, model.P_V, rng)
     blocks = rec.retransmissions + 1
-    hist = "".join(rec.control_history)
+    hist = "e" * rec.retransmissions + "c"
     print(f"{i:>8} {rec.tau:>5} {blocks:>7} {rec.realized_distortion:>11.4f} "
           f"{str(rec.excess):>7}  {hist}")
 

@@ -22,17 +22,20 @@ from .probability import (
     ChannelParams,
     DistortionMatrix,
     Pmf,
-    pairwise_distortion,
+    distortion,
     sample_pmf_batch,
 )
 
 # Source index guard: M may not exceed this (memory predictability).
 MAX_MESSAGES = 2 ** 20
 
-# Rows in the first block of the first-cover scan.  Each later block
-# doubles, so a word first covered at index k meets fewer than 2k + 32
-# reproductions.
+# Reproductions in the first block of the first-cover scan.  Each later
+# block at most doubles, so a word first covered at index k meets fewer
+# than 2k + 32 reproductions.
 FIRST_COVER_BLOCK = 32
+# Cells of one scan block: (scanning words + N*|V| column rows) times the
+# block's reproductions, 32 MiB as float64.  A block stops doubling there.
+COVER_BLOCK_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,26 +109,98 @@ def source_decode(cb: SourceCodebook, index: int) -> tuple:
     return tuple(int(v) for v in cb.reproductions[index - 1])
 
 
+def _lattice_exponent(length: int, top: float) -> int:
+    """k = 52 - ceil(log2(length * top)).
+
+    A sum of up to ``length`` multiples of 2**-k, each at most ``top`` in
+    magnitude, is a multiple of 2**-k of magnitude at most 2**(52-k): an
+    exact float64, whatever the order of the additions.
+    """
+    return 52 - math.ceil(math.log2(length * top))
+
+
+def _lattice_exact(d: DistortionMatrix, length: int) -> bool:
+    """Whether every entry of d is a multiple of 2**-k, k from
+    ``_lattice_exponent(length, d_max)``, so word sums are exact."""
+    if d.d_max == 0.0:
+        return True
+    scaled = np.ldexp(d.matrix, _lattice_exponent(length, d.d_max))
+    return bool(np.array_equal(scaled, np.round(scaled)))
+
+
+def _sum_limit(D: float, N: int) -> float:
+    """The largest float64 s with s / N <= D, division in float64.
+
+    Division rounds monotonically, so a word sum s has s / N <= D, the
+    ``distortion`` rule, exactly when s <= this limit.
+    """
+    s = D * N
+    while s / N > D:
+        s = math.nextafter(s, -math.inf)
+    while math.nextafter(s, math.inf) / N <= D:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def _first_covers(cb: SourceCodebook, letters: np.ndarray, v: np.ndarray,
+                  scanning: np.ndarray, reps: np.ndarray, limit: float,
+                  band: float) -> np.ndarray:
+    """Offset of the first reproduction of a block within D of each word.
+
+    -1 where none is.  The words are the rows ``scanning`` of ``v``, also
+    given one-hot as ``letters``: letter a at position i is a 1 in
+    column i*|V| + a.  The reproductions' column i*|V| + a holds
+    d(a, r_i), so one matrix product gives every word sum, and a word is
+    covered where its sum is at most ``limit`` (``_sum_limit``).  Sums
+    within ``band`` of the limit are decided by ``distortion``.
+    """
+    columns = cb.d.matrix.T.take(reps, axis=0).reshape(len(reps), -1)
+    sums = letters @ columns.T
+    covered = sums <= limit
+    if band:
+        rows, cols = np.nonzero(np.abs(sums - limit) < band)
+        covered[rows, cols] = distortion(
+            cb.d, v[scanning[rows]], reps[cols]) <= cb.D
+    first = covered.argmax(axis=1)
+    return np.where(covered[np.arange(len(first)), first], first, -1)
+
+
 def source_encode_batch(cb: SourceCodebook, v_batch: np.ndarray) -> np.ndarray:
     """First-cover encoding of a batch of source words.
 
-    The reproductions are scanned in row blocks of FIRST_COVER_BLOCK,
-    then twice as many rows per block.  A word leaves the scan at the
+    The reproductions are scanned in blocks of FIRST_COVER_BLOCK, then
+    twice as many per block while (scanning words + N*|V|) times the
+    block stays within COVER_BLOCK_CELLS.  A word leaves the scan at the
     first block holding a reproduction within D of it, and takes the
-    smallest such index; only words no reproduction covers meet all M
-    rows, and they take the sink index 1.
+    smallest such index; only words no reproduction covers meet all M,
+    and they take the sink index 1.
+
+    Each block is decided by one matrix product (``_first_covers``), and
+    the verdict is that of ``distortion(d, v, r) <= D``, bit for bit.
+    When every entry of d is a multiple of 2**-k (``_lattice_exact``),
+    every partial sum is exact in any order, so the product's sums are
+    the position-order sums.  Otherwise the two orders differ by at most
+    about N**2 * d_max * 2**-52, and sums within twice that of the limit
+    are rescored.
     """
-    v = np.asarray(v_batch)
+    v = np.asarray(v_batch, dtype=np.intp)
+    q = cb.d.alphabet_size
+    limit = _sum_limit(cb.D, cb.N)
+    band = (0.0 if _lattice_exact(cb.d, cb.N)
+            else cb.N ** 2 * cb.d.d_max * 2.0 ** -51)
     idx = np.ones(len(v), dtype=np.int64)
     scanning = np.arange(len(v))
+    letters = np.eye(q).take(v, axis=0).reshape(len(v), cb.N * q)
     lo, size = 0, FIRST_COVER_BLOCK
     while scanning.size and lo < cb.M:
-        covered = pairwise_distortion(
-            cb.d, v[scanning], cb.reproductions[lo:lo + size]) <= cb.D
-        hit = covered.any(axis=1)
-        idx[scanning[hit]] = covered[hit].argmax(axis=1) + lo + 1
-        scanning = scanning[~hit]
-        lo += size
+        width = COVER_BLOCK_CELLS // (scanning.size + cb.N * q)
+        size = min(size, max(1, width))
+        reps = cb.reproductions[lo:lo + size]
+        first = _first_covers(cb, letters, v, scanning, reps, limit, band)
+        hit = first >= 0
+        idx[scanning[hit]] = first[hit] + lo + 1
+        scanning, letters = scanning[~hit], letters[~hit]
+        lo += len(reps)
         size *= 2
     return idx
 
@@ -159,8 +234,8 @@ def build_channel_codebook(caid: Pmf, length: int, M: int,
 def _tie_exact_log(W: ChannelMatrix, length: int) -> np.ndarray:
     """log W with every finite entry rounded to a multiple of 2**-k.
 
-    k = 52 - ceil(log2(length * max|finite log W|)), so every partial sum
-    of up to ``length`` entries is an exact float64: a score does not
+    k = _lattice_exponent(length, max|finite log W|), so every partial
+    sum of up to ``length`` entries is an exact float64: a score does not
     depend on summation order, and equal multisets of terms give
     bit-equal scores.  A noiseless channel (all finite entries 0) needs
     no rounding.
@@ -170,7 +245,7 @@ def _tie_exact_log(W: ChannelMatrix, length: int) -> np.ndarray:
     finite = np.isfinite(logw)
     top = float(np.abs(logw[finite]).max())
     if top > 0.0:
-        k = 52 - math.ceil(math.log2(length * top))
+        k = _lattice_exponent(length, top)
         logw[finite] = np.ldexp(np.round(np.ldexp(logw[finite], k)), -k)
     return logw
 

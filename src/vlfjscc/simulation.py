@@ -211,13 +211,16 @@ def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one complete session."""
+    """Outcome of one complete session.
+
+    The control phase was heard e on each of the ``retransmissions``
+    blocks before the last, and c on the last.
+    """
 
     tau: int
     retransmissions: int
     realized_distortion: float
     excess: bool
-    control_history: tuple
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -247,8 +250,7 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     blocks = int(tau[0]) // cfg.N
     return TrialRecord(tau=int(tau[0]), retransmissions=blocks - 1,
                        realized_distortion=float(dist[0]),
-                       excess=bool(dist[0] > codes.source.D),
-                       control_history=("e",) * (blocks - 1) + ("c",))
+                       excess=bool(dist[0] > codes.source.D))
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,14 @@
 A metric whose base quartile spread over its median exceeds its bound
 is reported ``resolved: false``: the pairs cannot tell a regression of
 the bound's size from noise.  Each workload's verdict line reports its
-digests, correctness and failed shares.  The tool is loaded by path.
+digests, correctness and failed shares.  ``--workload`` takes only the
+names in ``BENCHMARK.json``.  The tool is loaded by path.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 BENCH_PAIR = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
 
@@ -61,3 +64,18 @@ def test_verdict_line_reports_digests_correctness_and_failed_shares():
     same = bench_pair.workload_report({"base": base, "change": base}, metrics)
     assert bench_pair.verdict_line("w", same).startswith(
         "w: digests_identical: true; base correct: true ")
+
+
+def test_workload_option_refuses_unknown_names(capsys):
+    bench_pair = load_bench_pair()
+    known = ["mc-bsc-n20", "mc-dmc-n16"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.parse_args(["--out", "x.json", "--workload", "mc-bsc"],
+                              known)
+    assert exc.value.code == 2
+    assert "invalid choice: 'mc-bsc'" in capsys.readouterr().err
+    assert bench_pair.parse_args(["--out", "x.json"], known).workload is None
+    args = bench_pair.parse_args(["--out", "x.json", "--workload",
+                                  "mc-dmc-n16", "--workload", "mc-bsc-n20"],
+                                 known)
+    assert args.workload == ["mc-dmc-n16", "mc-bsc-n20"]

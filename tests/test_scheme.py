@@ -6,6 +6,7 @@ oracle; control thresholds and ML decisions against hand arithmetic.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from vlfjscc import (
     ControlCode,
     DistortionMatrix,
     Pmf,
+    RngSpec,
     SchemeConfig,
     SourceCodebook,
     build_channel_codebook,
@@ -281,6 +283,25 @@ def test_source_encode_batch_matches_full_table_rule(q, M):
     assert uncovered > 0
 
 
+def count_cover_cells(monkeypatch) -> list:
+    """Record the cell count (words x reproductions) of every block."""
+    return record_cover_blocks(monkeypatch, lambda scanning, reps:
+                               len(scanning) * len(reps))
+
+
+def record_cover_blocks(monkeypatch, what) -> list:
+    """Record what(scanning rows, reproductions) of every block."""
+    records = []
+    original = coding_scheme._first_covers
+
+    def recorded(cb, letters, v, scanning, reps, limit, band):
+        records.append(what(scanning.copy(), reps))
+        return original(cb, letters, v, scanning, reps, limit, band)
+
+    monkeypatch.setattr(coding_scheme, "_first_covers", recorded)
+    return records
+
+
 def test_source_encode_batch_stops_at_the_first_cover(monkeypatch):
     # mc-bsc-n20 setting: almost every word is covered early, so the scan
     # computes a fraction of the n x M table.  The full table fails this.
@@ -289,19 +310,198 @@ def test_source_encode_batch_stops_at_the_first_cover(monkeypatch):
     cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.08,
                            20, np.random.default_rng(5))
     v = np.random.default_rng(6).integers(0, 2, size=(1024, 20))
-    cells = []
-    original = coding_scheme.pairwise_distortion
-
-    def counted(*args):
-        out = original(*args)
-        cells.append(out.size)
-        return out
-
-    monkeypatch.setattr(coding_scheme, "pairwise_distortion", counted)
+    cells = count_cover_cells(monkeypatch)
     idx = source_encode_batch(cb, v)
     dist = d.matrix[v, cb.reproductions[idx - 1]].mean(axis=1)
     assert (dist <= cb.D).mean() > 0.95
     assert sum(cells) <= len(v) * cb.M // 3
+
+
+def lee_distortion(q: int) -> DistortionMatrix:
+    """The cyclic distance between letters of Z_q."""
+    gap = np.abs(np.subtract.outer(np.arange(q), np.arange(q)))
+    return DistortionMatrix(np.minimum(gap, q - gap))
+
+
+# The N = 9 boundary pair of tests/test_simulation.py: with decimal
+# entries the word sum depends on the order of the additions, and in
+# position order d(v, vhat) is exactly BOUNDARY_RADIUS.
+BOUNDARY_D = DistortionMatrix([[0.0, 0.9, 0.1], [0.8, 0.0, 0.3],
+                               [1.0, 0.8, 0.0]])
+BOUNDARY_V = (0, 1, 0, 0, 1, 1, 0, 1, 2)
+BOUNDARY_VHAT = (0, 2, 1, 0, 0, 1, 1, 2, 2)
+BOUNDARY_RADIUS = 0.3555555555555555
+
+
+@pytest.mark.parametrize("N", [1, 9, 20])
+@pytest.mark.parametrize("d", [
+    hamming_distortion(2), hamming_distortion(4), lee_distortion(4),
+    lee_distortion(5), DistortionMatrix(ASYM_DISTORTION[2]),
+    DistortionMatrix(ASYM_DISTORTION[3])],
+    ids=["hamming2", "hamming4", "lee4", "lee5", "asym2", "asym3"])
+def test_dyadic_distortions_are_lattice_exact(d, N):
+    assert coding_scheme._lattice_exact(d, N)
+
+
+def test_decimal_distortion_is_not_lattice_exact():
+    assert not coding_scheme._lattice_exact(BOUNDARY_D, 9)
+    # Dyadic, but too fine for its sums: 2**-60 next to 1 at N = 4.
+    fine = DistortionMatrix([[0.0, 1.0], [2.0 ** -60, 0.0]])
+    assert not coding_scheme._lattice_exact(fine, 4)
+
+
+@pytest.mark.parametrize("N", [1, 3, 9, 20, 1000])
+@pytest.mark.parametrize("D", [0.0, 0.1, 0.2, 1 / 3, BOUNDARY_RADIUS, 2.5])
+def test_sum_limit_is_the_largest_sum_within_d(D, N):
+    limit = coding_scheme._sum_limit(D, N)
+    assert limit / N <= D
+    assert math.nextafter(limit, math.inf) / N > D
+
+
+def table_rule(d: DistortionMatrix, v, reps, D: float) -> np.ndarray:
+    """First index whose position-order distortion is within D, else 1."""
+    covered = pairwise_distortion(d, v, reps) <= D
+    return np.where(covered.any(axis=1), covered.argmax(axis=1) + 1, 1)
+
+
+@pytest.mark.parametrize("N, k", [(22, 15), (23, 13)])
+def test_first_cover_keeps_words_at_exactly_d(N, k):
+    # D = k / N rounds so that D * N falls one ulp below k, while
+    # k / N <= D: a word k letters from a reproduction is covered, and a
+    # limit of D * N would miss it.
+    D = k / N
+    assert D * N < k and coding_scheme._sum_limit(D, N) == k
+    rng = np.random.default_rng(N)
+    reps = rng.integers(0, 2, size=(50, N))
+    v = rng.integers(0, 2, size=(1000, N))
+    cb = SourceCodebook(N=N, M=50, reproductions=reps, D=D,
+                        d=hamming_distortion(2))
+    got = source_encode_batch(cb, v)
+    np.testing.assert_array_equal(got, table_rule(cb.d, v, reps, D))
+    assert (distortion(cb.d, v, reps[got - 1]) == D).sum() > 10
+
+
+def test_first_cover_decides_boundary_pairs_in_the_band(monkeypatch):
+    # The boundary pair, and copies of it with positions permuted (the
+    # same nine terms in another order), each planted at a random slot
+    # among random reproductions that lie beyond D of its word.
+    # Position-order sums of a permuted pair land on BOUNDARY_RADIUS or
+    # one ulp above it.  The product sums in its own order, which BLAS
+    # picks by shape (a word alone takes another path than a batch), so
+    # only the pairs rescored in the band keep the first-cover rule.
+    rng = np.random.default_rng(9)
+    perms = np.array([np.arange(9)] + [rng.permutation(9) for _ in range(199)])
+    v_planted = np.array(BOUNDARY_V)[perms]
+    vhat_planted = np.array(BOUNDARY_VHAT)[perms]
+    exact = distortion(BOUNDARY_D, v_planted, vhat_planted) <= BOUNDARY_RADIUS
+    assert exact[0] and not exact.all()
+    pool = rng.integers(0, 3, size=(1000, 9))
+
+    rescored = []
+    original = coding_scheme.distortion
+
+    def recorded(d, a, b):
+        rescored.extend(zip(map(tuple, a), map(tuple, b)))
+        return original(d, a, b)
+
+    monkeypatch.setattr(coding_scheme, "distortion", recorded)
+    product_right = []
+    for v, vhat, covered in zip(v_planted, vhat_planted, exact):
+        far = pool[distortion(BOUNDARY_D, v, pool) > BOUNDARY_RADIUS + 1e-9]
+        slot = int(rng.integers(0, 80))
+        reps = np.insert(far[:80], slot, vhat, axis=0)
+        cb = SourceCodebook(N=9, M=len(reps), reproductions=reps,
+                            D=BOUNDARY_RADIUS, d=BOUNDARY_D)
+        want = slot + 1 if covered else 1
+        assert source_encode(cb, v) == want
+        words = np.vstack([v, rng.integers(0, 3, size=(20, 9)), v])
+        got = source_encode_batch(cb, words)
+        np.testing.assert_array_equal(
+            got, table_rule(BOUNDARY_D, words, reps, BOUNDARY_RADIUS))
+        assert got[0] == got[-1] == want
+        with monkeypatch.context() as m:  # the product alone, no band
+            m.setattr(coding_scheme, "_lattice_exact", lambda d, n: True)
+            product_right.append(source_encode(cb, v) == want)
+    assert not all(product_right)
+    assert (BOUNDARY_V, BOUNDARY_VHAT) in rescored
+
+
+def test_first_cover_matches_the_table_on_the_acceptance_7_codebook():
+    model = SystemModel.build(Pmf([0.5, 0.5]), bsc(0.1), hamming_distortion(2),
+                              0.2)
+    cfg = model.derive_config(20, 0.08, 0.3, master_seed=42)
+    codes = build_codes(model, cfg,
+                        RngSpec(42).child("N", 20).generator("source-code"))
+    cb = codes.source
+    assert cb.M == 1159
+    v = sample_pmf_batch(model.P_V, (4096, 20), np.random.default_rng(20))
+    got = source_encode_batch(cb, v)
+    want = np.concatenate([table_rule(cb.d, v[lo:lo + 1024], cb.reproductions,
+                                      cb.D) for lo in range(0, 4096, 1024)])
+    np.testing.assert_array_equal(got, want)
+    # Words at distance exactly D are covered, and some are uncovered.
+    at_d = distortion(cb.d, v, cb.reproductions[got - 1]) == cb.D
+    assert at_d.any() and (got == 1).any()
+
+
+def test_uncovered_scan_stays_within_the_cell_budget(monkeypatch):
+    # D = 0 and every reproduction the complement of every word: nothing
+    # covers, so each word meets all M reproductions.  Blocks double from
+    # FIRST_COVER_BLOCK until (words + N*|V|) * block would pass
+    # COVER_BLOCK_CELLS, then stay there.
+    n, N, M = 2048, 20, 2 ** 15
+    budget = coding_scheme.COVER_BLOCK_CELLS
+    cap = budget // (n + 2 * N)
+    cb = SourceCodebook(N=N, M=M, reproductions=np.ones((M, N), np.int8),
+                        D=0.0, d=hamming_distortion(2))
+    v = np.zeros((n, N), dtype=np.int8)
+    cells = count_cover_cells(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = source_encode_batch(cb, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (got == 1).all()
+    widths = [c // n for c in cells]
+    assert sum(widths) == M
+    assert widths[:6] == [32, 64, 128, 256, 512, 1024]
+    assert set(widths[6:-1]) == {cap}
+    assert max(cells) + 2 * N * cap <= budget
+    # The budget at 8 bytes a cell holds the float64 product and its
+    # columns; the verdict adds 1 byte a product cell, and the one-hot
+    # words (n * N * |V| float64) are held twice.  Doubling to the last
+    # block, 16384 wide, would take 268 MB for the product alone.
+    assert peak < 9 * budget + 2 * (n * N * 2 * 8)
+
+
+def test_capped_blocks_keep_the_first_cover_bound(monkeypatch):
+    # A small budget caps the blocks at a few dozen reproductions, and
+    # the cap widens as covered words leave.  A word first covered at
+    # index k still meets fewer than 2k + 32 reproductions.
+    monkeypatch.setattr(coding_scheme, "COVER_BLOCK_CELLS", 2 ** 14)
+    n, N, M = 256, 20, 4096
+    v = (np.arange(n)[:, np.newaxis] >> np.arange(N)) & 1
+    rng = np.random.default_rng(18)
+    planted = rng.choice(n, size=64, replace=False)
+    at = rng.choice(M, size=64, replace=False)
+    at[:2] = 0, 32  # indices 1 and 33, first in their blocks
+    reps = np.ones((M, N), dtype=np.int64)
+    reps[at] = v[planted]
+    cb = SourceCodebook(N=N, M=M, reproductions=reps, D=0.0,
+                        d=hamming_distortion(2))
+    blocks = record_cover_blocks(monkeypatch,
+                                 lambda scanning, r: (scanning, len(r)))
+    got = source_encode_batch(cb, v)
+    want = np.ones(n, dtype=np.int64)
+    want[planted] = at + 1
+    np.testing.assert_array_equal(got, want)
+    met = np.zeros(n, dtype=np.int64)
+    for scanning, width in blocks:
+        assert (len(scanning) + 2 * N) * width <= 2 ** 14
+        met[scanning] += width
+    assert (met[planted] < 2 * (at + 1) + 32).all()
+    assert (np.delete(met, planted) == M).all()
 
 
 # ----------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_array_holding_dataclasses_compare_by_identity(make):
 def test_trial_record_requires_positive_tau():
     with pytest.raises(ValueError):
         TrialRecord(tau=0, retransmissions=0, realized_distortion=0.0,
-                    excess=False, control_history=("c",))
+                    excess=False)
 
 
 def test_run_session_noiseless_full_budget_stops_immediately():
@@ -260,7 +260,6 @@ def test_run_session_noiseless_full_budget_stops_immediately():
         assert rec.retransmissions == 0
         assert not rec.excess
         assert rec.realized_distortion <= 1.0
-        assert rec.control_history == ("c",)
 
 
 def test_run_session_uncoverable_word_hits_cap():
@@ -329,7 +328,7 @@ def test_run_session_confirms_a_word_covered_at_the_d_boundary():
                       source_word=BOUNDARY_V)
     assert not rec.excess
     assert rec.realized_distortion == BOUNDARY_RADIUS
-    assert rec.control_history[-1] == "c"
+    assert rec.tau == cfg.N * (rec.retransmissions + 1)
 
 
 def test_batch_engine_excess_is_the_encoders_cover_verdict():
@@ -352,7 +351,8 @@ def test_batch_engine_excess_is_the_encoders_cover_verdict():
         cfg, codes, model, n, np.random.default_rng(4), session_cap=1000,
         trial_offset=0, message_phase=_MessagePhase(W, codes.caid, 7, 1))
     # The chunk's source words are the first draws of its stream; the
-    # encoder's verdict is its kernel, pairwise_distortion, against D.
+    # encoder's verdict is the position-order sum, pairwise_distortion,
+    # against D.
     v = sample_pmf_batch(model.P_V, (n, 9), np.random.default_rng(4))
     dist = pairwise_distortion(BOUNDARY_D, v, source.reproductions)[:, 0]
     assert np.array_equal(excess, dist > BOUNDARY_RADIUS)
@@ -370,8 +370,6 @@ def test_run_session_pathwise_invariants():
         rec = run_session(cfg, codes, model.W, model.P_V, rng)
         assert rec.tau % cfg.N == 0
         assert rec.tau == cfg.N * (rec.retransmissions + 1)
-        assert rec.control_history[-1] == "c"
-        assert all(h == "e" for h in rec.control_history[:-1])
         assert rec.excess == (rec.realized_distortion > model.D)
 
 

@@ -2,13 +2,15 @@
 """Paired before/after benchmark of a base commit against the working tree.
 
     python3 tools/bench_pair.py --pairs 10 --base HEAD --out BENCH.json
+    python3 tools/bench_pair.py --pairs 4 --workload mc-bsc-n20 --out pair.json
 
 Exports the committed files of --base into a temporary directory with
 ``git archive``, and copies the working tree's tracked and untracked,
 not ignored, files into a second one, so both sides run from the same
 kind of place.  Then runs ``perfbench/run.py --trace 0`` of each side
-over seeds 1..--pairs on every workload of ``BENCHMARK.json``, for the
-run length it fixes.  Each seed is one pair: the base and the working
+over seeds 1..--pairs on every workload of ``BENCHMARK.json`` (or on
+those named by repeated --workload options), for the run length it
+fixes.  Each seed is one pair: the base and the working
 tree run back to back, one at a time, and the side that goes first
 alternates from pair to pair.  The JSON written to --out holds, per
 workload and end-to-end metric, both sides' runs, medians and quartiles
@@ -138,19 +140,28 @@ def verdict_line(workload: str, report: dict) -> str:
             f"{str(report['digests_identical']).lower()}; {sides}")
 
 
-def main() -> int:
+def parse_args(argv, known: list) -> argparse.Namespace:
+    """The options; every --workload must name a workload in ``known``."""
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pairs", type=int, default=10,
                    help="seeds 1..PAIRS, one base/change pair each")
     p.add_argument("--base", default="HEAD", help="commit to compare against")
     p.add_argument("--out", required=True, help="JSON file to write")
-    args = p.parse_args()
+    p.add_argument("--workload", action="append", choices=known,
+                   help="pair only this workload (repeatable; default: all)")
+    args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be positive")
+    return args
+
+
+def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     metrics = {m["name"]: m for m in bench["end_to_end"]}
-    workloads = [w["name"] for w in bench["workloads"]]
+    known = [w["name"] for w in bench["workloads"]]
+    args = parse_args(argv, known)
+    workloads = [w for w in known if w in (args.workload or known)]
     base_rev = git("rev-parse", args.base)
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
