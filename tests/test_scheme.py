@@ -283,10 +283,9 @@ def test_source_encode_batch_matches_full_table_rule(q, M):
     assert uncovered > 0
 
 
-def count_cover_cells(monkeypatch) -> list:
-    """Record the cell count (words x reproductions) of every block."""
-    return record_cover_blocks(monkeypatch, lambda scanning, reps:
-                               len(scanning) * len(reps))
+def cover_cells(scanning, reps) -> int:
+    """Cells (words x reproductions) of one block."""
+    return len(scanning) * len(reps)
 
 
 def record_cover_blocks(monkeypatch, what) -> list:
@@ -310,7 +309,7 @@ def test_source_encode_batch_stops_at_the_first_cover(monkeypatch):
     cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.08,
                            20, np.random.default_rng(5))
     v = np.random.default_rng(6).integers(0, 2, size=(1024, 20))
-    cells = count_cover_cells(monkeypatch)
+    cells = record_cover_blocks(monkeypatch, cover_cells)
     idx = source_encode_batch(cb, v)
     dist = d.matrix[v, cb.reproductions[idx - 1]].mean(axis=1)
     assert (dist <= cb.D).mean() > 0.95
@@ -455,7 +454,7 @@ def test_uncovered_scan_stays_within_the_cell_budget(monkeypatch):
     cb = SourceCodebook(N=N, M=M, reproductions=np.ones((M, N), np.int8),
                         D=0.0, d=hamming_distortion(2))
     v = np.zeros((n, N), dtype=np.int8)
-    cells = count_cover_cells(monkeypatch)
+    cells = record_cover_blocks(monkeypatch, cover_cells)
     tracemalloc.start()
     try:
         got = source_encode_batch(cb, v)
