@@ -18,10 +18,9 @@ import argparse
 import ast
 import configparser
 import functools
-import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,39 +83,8 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved experiment description (plain immutable values)."""
-
-    source: tuple
-    channel: tuple
-    distortion: tuple | None
-    D: float
-    N: int | None
-    N_list: tuple | None
-    epsilon: float
-    delta_ctrl: float
-    trials: int
-    seed: int
-    pd_target: float | None
-    out: str | None
-
-
-def _literal(parser: configparser.ConfigParser, section: str, key: str,
-             caster, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(section, key, "required field is missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        value = ast.literal_eval(raw)
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(section, key, f"cannot parse {raw!r}: {exc}") from exc
-    try:
-        return caster(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(section, key, str(exc)) from exc
+# Marks an INI key that has no default: a config must set it.
+_REQUIRED = object()
 
 
 def _as_vector(value) -> tuple:
@@ -134,6 +102,72 @@ def _as_int_list(value) -> tuple:
     return tuple(int(x) for x in value)
 
 
+def _int_list(text: str) -> tuple:
+    try:
+        return tuple(int(part) for part in text.split(",") if part)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _ini(section: str, key: str, caster, default=_REQUIRED, flag=None):
+    """A config field read from ``[section] key``.
+
+    ``caster`` maps the key's Python literal to the field's value; None
+    keeps the raw text.  ``flag`` holds the ``add_argument`` keywords of
+    the field's command-line override, ``--`` plus the field name with
+    ``-`` for ``_``; None means it has none.
+    """
+    return field(metadata={"section": section, "key": key, "caster": caster,
+                           "default": default, "flag": flag})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully resolved experiment description (plain immutable values).
+
+    Each field states its INI key, in file order; parsing, serialising
+    and flag overrides all read them from here.
+    """
+
+    source: tuple = _ini("source", "pmf", _as_vector)
+    channel: tuple = _ini("channel", "matrix", _as_matrix)
+    distortion: tuple | None = _ini("distortion", "matrix", _as_matrix, None)
+    D: float = _ini("distortion", "D", float)
+    epsilon: float = _ini("scheme", "epsilon", float, 0.05, {"type": float})
+    delta_ctrl: float = _ini("scheme", "delta_ctrl", float, 0.3,
+                             {"type": float})
+    N: int | None = _ini("run", "N", int, None, {"type": int})
+    N_list: tuple | None = _ini("run", "N_list", _as_int_list, None,
+                                {"type": _int_list, "metavar": "A,B,C"})
+    trials: int = _ini("run", "trials", int, 10000, {"type": int})
+    seed: int = _ini("run", "seed", int, 0, {"type": int})
+    pd_target: float | None = _ini("run", "pd_target", float, None,
+                                   {"type": float})
+    out: str | None = _ini("run", "out", None, None, {"metavar": "PATH"})
+
+
+_FIELDS = {f.name: f.metadata for f in fields(ExperimentConfig)}
+
+
+def _read(parser: configparser.ConfigParser, meta) -> object:
+    section, key = meta["section"], meta["key"]
+    if not parser.has_option(section, key):
+        if meta["default"] is _REQUIRED:
+            raise ConfigError(section, key, "required field is missing")
+        return meta["default"]
+    raw = parser.get(section, key)
+    if meta["caster"] is None:
+        return raw
+    try:
+        value = ast.literal_eval(raw)
+    except (ValueError, SyntaxError) as exc:
+        raise ConfigError(section, key, f"cannot parse {raw!r}: {exc}") from exc
+    try:
+        return meta["caster"](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(section, key, str(exc)) from exc
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
@@ -143,49 +177,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for section in ("source", "channel", "distortion", "run"):
         if not parser.has_section(section):
             raise ConfigError(section, "<section>", "section is missing")
-    source = _literal(parser, "source", "pmf", _as_vector, required=True)
-    channel = _literal(parser, "channel", "matrix", _as_matrix, required=True)
-    dist = _literal(parser, "distortion", "matrix", _as_matrix, default=None)
-    D = _literal(parser, "distortion", "D", float, required=True)
-    epsilon = _literal(parser, "scheme", "epsilon", float, default=0.05)
-    delta_ctrl = _literal(parser, "scheme", "delta_ctrl", float, default=0.3)
-    N = _literal(parser, "run", "N", int, default=None)
-    N_list = _literal(parser, "run", "N_list", _as_int_list, default=None)
-    trials = _literal(parser, "run", "trials", int, default=10000)
-    seed = _literal(parser, "run", "seed", int, default=0)
-    pd_target = _literal(parser, "run", "pd_target", float, default=None)
-    out = parser.get("run", "out", fallback=None)
-    return ExperimentConfig(source=source, channel=channel, distortion=dist,
-                            D=D, N=N, N_list=N_list, epsilon=epsilon,
-                            delta_ctrl=delta_ctrl, trials=trials, seed=seed,
-                            pd_target=pd_target, out=out)
+    return ExperimentConfig(**{name: _read(parser, meta)
+                               for name, meta in _FIELDS.items()})
+
+
+def _plain(value):
+    """A field value as it is written: tuples as lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    buf = io.StringIO()
-    buf.write("[source]\n")
-    buf.write(f"pmf = {list(cfg.source)!r}\n\n")
-    buf.write("[channel]\n")
-    buf.write(f"matrix = {[list(r) for r in cfg.channel]!r}\n\n")
-    buf.write("[distortion]\n")
-    if cfg.distortion is not None:
-        buf.write(f"matrix = {[list(r) for r in cfg.distortion]!r}\n")
-    buf.write(f"D = {cfg.D!r}\n\n")
-    buf.write("[scheme]\n")
-    buf.write(f"epsilon = {cfg.epsilon!r}\n")
-    buf.write(f"delta_ctrl = {cfg.delta_ctrl!r}\n\n")
-    buf.write("[run]\n")
-    if cfg.N is not None:
-        buf.write(f"N = {cfg.N!r}\n")
-    if cfg.N_list is not None:
-        buf.write(f"N_list = {list(cfg.N_list)!r}\n")
-    buf.write(f"trials = {cfg.trials!r}\n")
-    buf.write(f"seed = {cfg.seed!r}\n")
-    if cfg.pd_target is not None:
-        buf.write(f"pd_target = {cfg.pd_target!r}\n")
-    if cfg.out is not None:
-        buf.write(f"out = {cfg.out}\n")
-    return buf.getvalue()
+    sections: dict = {}
+    for name, meta in _FIELDS.items():
+        lines = sections.setdefault(meta["section"], [])
+        value = getattr(cfg, name)
+        if value is not None:
+            text = value if meta["caster"] is None else repr(_plain(value))
+            lines.append(f"{meta['key']} = {text}\n")
+    return "\n".join(f"[{section}]\n" + "".join(lines)
+                     for section, lines in sections.items())
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -198,26 +208,25 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise ConfigError("<file>", path, str(exc)) from exc
 
 
+def _located(name: str, build, *args):
+    """build(*args); a ValueError is reported at the INI key of field name."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        meta = _FIELDS[name]
+        raise ConfigError(meta["section"], meta["key"], str(exc)) from exc
+
+
 def build_model(cfg: ExperimentConfig) -> SystemModel:
-    try:
-        P_V = Pmf(cfg.source)
-    except ValueError as exc:
-        raise ConfigError("source", "pmf", str(exc)) from exc
-    try:
-        W = ChannelMatrix(cfg.channel)
-    except ValueError as exc:
-        raise ConfigError("channel", "matrix", str(exc)) from exc
-    try:
-        if cfg.distortion is None:
-            d = hamming_distortion(len(P_V))
-        else:
-            d = DistortionMatrix(cfg.distortion)
-    except ValueError as exc:
-        raise ConfigError("distortion", "matrix", str(exc)) from exc
-    try:
-        return SystemModel.build(P_V, W, d, cfg.D)
-    except ValueError as exc:
-        raise ConfigError("distortion", "D", str(exc)) from exc
+    """The model of a config, with its channel parameters solved, so that
+    every rejected value is reported at its INI key."""
+    P_V = _located("source", Pmf, cfg.source)
+    W = _located("channel", ChannelMatrix, cfg.channel)
+    d = (hamming_distortion(len(P_V)) if cfg.distortion is None
+         else _located("distortion", DistortionMatrix, cfg.distortion))
+    model = _located("D", SystemModel.build, P_V, W, d, cfg.D)
+    _located("channel", getattr, model, "params")
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +278,7 @@ def _check_report_invariants(report) -> list[str]:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_params(cfg: ExperimentConfig) -> int:
+def cmd_params(cfg: ExperimentConfig, args) -> int:
     model = build_model(cfg)
     params, point = model.params, model.rd
     try:
@@ -306,7 +315,7 @@ def _single_N(cfg: ExperimentConfig) -> int:
     return cfg.N
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
+def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     N = _single_N(cfg)
     model = build_model(cfg)
     scheme = model.derive_config(N, cfg.epsilon, cfg.delta_ctrl,
@@ -321,7 +330,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
+def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     if cfg.N_list is None or cfg.N is not None:
         raise UsageError("sweep needs N_list (and no single N)")
     model = build_model(cfg)
@@ -345,7 +354,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_converse(cfg: ExperimentConfig) -> int:
+def cmd_converse(cfg: ExperimentConfig, args) -> int:
     N = _single_N(cfg)
     if cfg.pd_target is None:
         raise UsageError("converse needs --pd-target")
@@ -449,7 +458,7 @@ def _verify_fixtures() -> list[tuple[str, bool, str]]:
     return results
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
+def cmd_verify(cfg: ExperimentConfig, args) -> int:
     results = _verify_fixtures()
     lines = []
     for name, ok, detail in results:
@@ -461,9 +470,9 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     return 0 if all_ok else 2
 
 
-def cmd_control_exponent(cfg: ExperimentConfig, m_list: tuple) -> int:
+def cmd_control_exponent(cfg: ExperimentConfig, args) -> int:
     model = build_model(cfg)
-    result = control_phase_exponent(model, m_list, cfg.trials,
+    result = control_phase_exponent(model, args.m_list, cfg.trials,
                                     cfg.delta_ctrl, RngSpec(cfg.seed))
     columns = ("m", "p_ec_hat", "p_ec_lo", "p_ec_hi", "p_ec_flagged",
                "p_ce_hat", "p_ce_lo", "p_ce_hi", "p_ce_flagged")
@@ -489,11 +498,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(",") if part)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+# Every subcommand: its handler, called as handler(cfg, args), and the
+# add_argument keywords of the flags only it takes.
+COMMANDS = {
+    "params": (cmd_params, {}),
+    "simulate": (cmd_simulate, {}),
+    "sweep": (cmd_sweep, {}),
+    "converse": (cmd_converse, {}),
+    "verify": (cmd_verify, {}),
+    "control-exponent": (cmd_control_exponent,
+                         {"--m-list": {"type": _int_list, "metavar": "A,B,C",
+                                       "default": (50, 100, 200)}}),
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -501,33 +517,23 @@ def _build_parser() -> _Parser:
     """The argument parser, built once per process; every parse is fresh."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", metavar="PATH")
-    common.add_argument("--N", type=int, dest="N")
-    common.add_argument("--N-list", type=_int_list, dest="N_list",
-                        metavar="A,B,C")
-    common.add_argument("--pd-target", type=float, dest="pd_target")
-    common.add_argument("--epsilon", type=float)
-    common.add_argument("--delta-ctrl", type=float, dest="delta_ctrl")
+    for name, meta in _FIELDS.items():
+        if meta["flag"] is not None:
+            common.add_argument("--" + name.replace("_", "-"),
+                                **meta["flag"])
     parser = _Parser(prog="vlfjscc",
                      description="Two-phase feedback coding lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("params", "simulate", "sweep", "converse", "verify"):
-        sub.add_parser(name, parents=[common])
-    ctrl = sub.add_parser("control-exponent", parents=[common])
-    ctrl.add_argument("--m-list", type=_int_list, dest="m_list",
-                      metavar="A,B,C", default=(50, 100, 200))
+    for name, (_, own) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common])
+        for flag, keywords in own.items():
+            command.add_argument(flag, **keywords)
     return parser
 
 
 def _resolve(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    for name in ("trials", "seed", "N", "N_list", "pd_target", "epsilon",
-                 "delta_ctrl", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
+    updates = {name: value for name in _FIELDS
+               if (value := getattr(args, name, None)) is not None}
     # An override of N or N_list alone clears the other.
     if ("N" in updates) != ("N_list" in updates):
         cfg = replace(cfg, N=None, N_list=None)
@@ -535,24 +541,11 @@ def _resolve(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = load_config(args.config)
-        cfg = _resolve(cfg, args)
-        if args.command == "params":
-            return cmd_params(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "converse":
-            return cmd_converse(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "control-exponent":
-            return cmd_control_exponent(cfg, args.m_list)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        cfg = _resolve(load_config(args.config), args)
+        handler, _ = COMMANDS[args.command]
+        return handler(cfg, args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

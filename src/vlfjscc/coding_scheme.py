@@ -2,9 +2,10 @@
 
 One transmission block of N channel uses splits into a message phase of
 ``msg_len`` symbols and a control phase of ``ctrl_len`` symbols.  The
-pieces built here: a random-covering source code at rate R(D) + 2*eps,
-an i.i.d. capacity-achieving channel codebook with ML decoding for the
-message phase, a two-word repetition code with a log-likelihood-ratio
+pieces built here: a random-covering source code of M words (at rate
+R(D) + 2*eps on the canonical path, ``SchemeConfig.derive``), an i.i.d.
+capacity-achieving channel codebook with ML decoding for the message
+phase, a two-word repetition code with a log-likelihood-ratio
 threshold test for the control phase, and the phase-split fraction gamma
 that makes the message rate land strictly below capacity.
 """
@@ -54,6 +55,8 @@ class SourceCodebook:
     d: DistortionMatrix
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError("a source code needs at least one reproduction")
         reps = np.asarray(self.reproductions)
         if reps.shape != (self.M, self.N):
             raise ValueError("reproduction table must be M x N")
@@ -63,25 +66,23 @@ class SourceCodebook:
 
 
 def _message_count(N: int, R_D: float, epsilon: float) -> int:
-    """M = ceil(exp(N(R(D)+2*eps))), refused above MAX_MESSAGES."""
-    M = math.ceil(math.exp(N * (R_D + 2.0 * epsilon)))
-    if M > MAX_MESSAGES:
-        raise ValueError(f"message count {M} exceeds guard {MAX_MESSAGES}")
-    return M
+    """M = ceil(exp(N(R(D)+2*eps))); an exponent past ln(MAX_MESSAGES + 1)
+    is refused before exp, which overflows near N(R(D)+2*eps) = 710."""
+    exponent = N * (R_D + 2.0 * epsilon)
+    if exponent > math.log(MAX_MESSAGES + 1):
+        raise ValueError(f"message count exp({exponent:.6g}) exceeds guard "
+                         f"{MAX_MESSAGES}")
+    return math.ceil(math.exp(exponent))
 
 
-def build_source_code(P_V: Pmf, d: DistortionMatrix, point: RdPoint,
-                      epsilon: float, N: int,
-                      rng: np.random.Generator) -> SourceCodebook:
-    """Draw M = ceil(exp(N(R(D)+2*eps))) reproductions i.i.d.
+def build_source_code(P_V: Pmf, d: DistortionMatrix, point: RdPoint, M: int,
+                      N: int, rng: np.random.Generator) -> SourceCodebook:
+    """Draw M reproductions of N letters, every letter i.i.d.
 
     Letters follow the output marginal of the test channel of ``point``
     (R(D) of P_V at D = point.D), under which random covering succeeds
     at any rate above R(D).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    M = _message_count(N, point.R, epsilon)
     marginal = point.output_marginal(P_V)
     reps = sample_pmf_batch(marginal, (M, N), rng)
     return SourceCodebook(N=N, M=M, reproductions=reps, D=point.D, d=d)
@@ -393,23 +394,43 @@ def derive_gamma(R_D: float, epsilon: float, C: float) -> float:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Resolved per-block parameters of the two-phase scheme."""
+    """One runnable block: M source messages, then ``msg_len`` message
+    symbols and ``ctrl_len`` control symbols, N = msg_len + ctrl_len.
 
-    N: int
-    epsilon: float
+    Every instance can run: both phases hold a symbol and M lies in
+    1..MAX_MESSAGES.  ``derive`` is the canonical block of the paper's
+    scheme; a block built directly may take any M in that range.
+    """
+
     gamma: float
     delta_ctrl: float
     M: int
     msg_len: int
     ctrl_len: int
-    R_D: float
-    C: float
     master_seed: int
+
+    def __post_init__(self):
+        if self.msg_len < 1:
+            raise ValueError("the message phase needs at least one message "
+                             f"symbol (msg_len = {self.msg_len})")
+        if self.ctrl_len < 1:
+            raise ValueError("no room left for the control phase "
+                             f"(ctrl_len = {self.ctrl_len})")
+        if self.M < 1:
+            raise ValueError(f"message count {self.M} is below 1")
+        if self.M > MAX_MESSAGES:
+            raise ValueError(
+                f"message count {self.M} exceeds guard {MAX_MESSAGES}")
+
+    @property
+    def N(self) -> int:
+        return self.msg_len + self.ctrl_len
 
     @classmethod
     def derive(cls, N: int, epsilon: float, delta_ctrl: float, R_D: float,
                C: float, master_seed: int = 0) -> "SchemeConfig":
-        """Resolve gamma and the integer phase lengths for block length N.
+        """The canonical block of length N: gamma, the phase lengths and
+        M = ceil(exp(N(R(D)+2*eps))).
 
         Uses the canonical split when R(D) + 3*eps < C.  Otherwise, as
         long as the message rate can still clear capacity with margin
@@ -429,12 +450,6 @@ class SchemeConfig:
         if not (R_D + 2.0 * epsilon) / gamma < C:
             raise ValueError("message-phase rate does not clear capacity")
         msg_len = int(math.floor(gamma * N + 1e-9))
-        ctrl_len = N - msg_len
-        if msg_len < 1:
-            raise ValueError("gamma*N rounds below one message symbol")
-        if ctrl_len < 1:
-            raise ValueError("no room left for the control phase")
-        M = _message_count(N, R_D, epsilon)
-        return cls(N=N, epsilon=epsilon, gamma=gamma, delta_ctrl=delta_ctrl,
-                   M=M, msg_len=msg_len, ctrl_len=ctrl_len, R_D=R_D, C=C,
-                   master_seed=master_seed)
+        return cls(gamma=gamma, delta_ctrl=delta_ctrl,
+                   M=_message_count(N, R_D, epsilon), msg_len=msg_len,
+                   ctrl_len=N - msg_len, master_seed=master_seed)

@@ -309,10 +309,12 @@ def pairwise_distortion(d: DistortionMatrix, words_a: np.ndarray,
     Entry (i, j) is ``distortion(d, a_i, b_j)``, bit for bit: the same
     sum in position order.  Per position the (|V|, len(b)) table
     d[:, b[:, pos]] is gathered once and its rows are taken at a[:, pos].
-    Letters must lie in 0..|V|-1, unchecked, as for ``distortion``.
+    Letters must lie in 0..|V|-1, unchecked, as for ``distortion``.  The
+    word table b is read as given: a copy of a q**N table as intp would
+    cost 8 bytes per letter.
     """
     a = np.asarray(words_a, dtype=np.intp)
-    b = np.asarray(words_b, dtype=np.intp)
+    b = np.asarray(words_b)
     n = a.shape[1]
     out = np.zeros((a.shape[0], b.shape[0]))
     for pos in range(n):

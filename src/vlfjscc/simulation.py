@@ -122,13 +122,16 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Source, channel, distortion and target D; R(D) and E* solved once."""
+    """Source, channel, distortion and target D.
+
+    The channel parameters and R(D) are solved on first use and then
+    kept, so a model solves each at most once; E* is built from them.
+    """
 
     P_V: Pmf
     W: ChannelMatrix
     d: DistortionMatrix
     D: float
-    params: ChannelParams
 
     @classmethod
     def build(cls, P_V: Pmf, W: ChannelMatrix, d: DistortionMatrix,
@@ -137,7 +140,11 @@ class SystemModel:
             raise ValueError("source alphabet does not match distortion matrix")
         if D < 0:
             raise ValueError("target distortion must be nonnegative")
-        return cls(P_V=P_V, W=W, d=d, D=float(D), params=channel_params(W))
+        return cls(P_V=P_V, W=W, d=d, D=float(D))
+
+    @cached_property
+    def params(self) -> ChannelParams:
+        return channel_params(self.W)
 
     @cached_property
     def rd(self) -> RdPoint:
@@ -165,8 +172,8 @@ class CodeSet:
 
 def build_codes(model: SystemModel, cfg: SchemeConfig,
                 rng: np.random.Generator) -> CodeSet:
-    source = build_source_code(model.P_V, model.d, model.rd, cfg.epsilon,
-                               cfg.N, rng)
+    source = build_source_code(model.P_V, model.d, model.rd, cfg.M, cfg.N,
+                               rng)
     control = build_control_code(model.params, cfg.ctrl_len, cfg.delta_ctrl)
     return CodeSet(source=source, control=control, caid=model.params.caid)
 
@@ -184,10 +191,18 @@ def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     sessions and returns their decoded messages.  The encoder sends c
     where d(v, vhat) <= D, else e; the control letters are drawn next, and
     a session stops at its first block decided c.  A session still live
-    after session_cap blocks raises, at row index + trial_offset.
+    after session_cap blocks raises, at row index + trial_offset.  Codes
+    built for another block than cfg are refused.
     """
     if session_cap < 1:
         raise ValueError("session_cap must be >= 1")
+    for what, built, block in (("N", codes.source.N, cfg.N),
+                               ("M", codes.source.M, cfg.M),
+                               ("ctrl_len", codes.control.length,
+                                cfg.ctrl_len)):
+        if built != block:
+            raise ValueError(f"codes built for {what} = {built} cannot run "
+                             f"a block of {what} = {block}")
     msg = source_encode_batch(codes.source, v)
     tau = np.zeros(len(v), dtype=np.int64)
     end_dist = np.zeros(len(v))

@@ -146,6 +146,10 @@ def test_build_model_wraps_errors_with_location():
     with pytest.raises(ConfigError) as exc:
         build_model(replace(cfg, channel=((0.0, 0.0), (0.5, 0.5))))
     assert (exc.value.section, exc.value.key) == ("channel", "matrix")
+    # A dead output column: the channel's parameters are refused.
+    with pytest.raises(ConfigError, match="lambda") as exc:
+        build_model(replace(cfg, channel=((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))))
+    assert (exc.value.section, exc.value.key) == ("channel", "matrix")
     with pytest.raises(ConfigError) as exc:
         build_model(replace(cfg, distortion=((0.0, 1.0),)))
     assert (exc.value.section, exc.value.key) == ("distortion", "matrix")
@@ -499,11 +503,12 @@ def package_env() -> dict:
 
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--N", "40"], "exceeds guard"),
+    (["simulate", "--N", "3000"], "exceeds guard"),
     (["simulate", "--epsilon", "0.2"], "R(D) + 2*epsilon >= C"),
     (["simulate", "--delta-ctrl", "5"], "delta_ctrl must lie strictly"),
     (["sweep", "--N-list", "16,8"], "N_list must be ascending"),
     (["control-exponent", "--m-list", "50"], "at least three control"),
-], ids=["message-guard", "epsilon", "delta-ctrl", "descending-N-list",
+], ids=["message-guard", "message-guard-past-exp-overflow", "epsilon", "delta-ctrl", "descending-N-list",
         "short-m-list"])
 def test_rejected_configuration_is_one_line_exit_1(argv, message):
     proc = subprocess.run([sys.executable, "-m", "vlfjscc", *argv],

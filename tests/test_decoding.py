@@ -8,6 +8,7 @@ explicit enumeration.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1054,3 +1055,21 @@ def test_posterior_contraction_random_instances():
         y = int(rng.integers(0, n_out))
         post = posterior_update(prior, enc, steps, history, y, W)
         assert np.all(post.weights >= lam * prior.weights - 1e-12)
+
+
+def test_min_tail_mass_scores_against_the_word_table_as_given():
+    # A peaked q = 4, N = 10 posterior keeps one centre, which is scored
+    # exactly against the 2**20-word int8 table: an intp copy of that
+    # table alone is 80 MiB, and the call peaked at 144 MiB with it.  The
+    # first call fills the read-only caches (word table, ball spectrum).
+    post = Posterior.from_prior(Pmf([0.97, 0.01, 0.01, 0.01]), 10)
+    d = hamming_distortion(4)
+    first = min_tail_mass(post, d, 0.2)
+    tracemalloc.start()
+    try:
+        again = min_tail_mass(post, d, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == first and first[1] == (0,) * 10
+    assert peak < 100 * 2 ** 20

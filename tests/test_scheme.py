@@ -7,6 +7,7 @@ oracle; control thresholds and ML decisions against hand arithmetic.
 import itertools
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def h2(x: float) -> float:
 
 
 RD_HALF_02 = math.log(2.0) - h2(0.2)  # R(0.2), Bern(0.5), Hamming
+
+
+def canonical_code(source, d, D, epsilon, N, rng):
+    """A source code of the M that SchemeConfig.derive sizes for epsilon,
+    ceil(exp(N(R(D) + 2*epsilon)))."""
+    point = rate_distortion(source, d, D)
+    M = math.ceil(math.exp(N * (point.R + 2.0 * epsilon)))
+    return build_source_code(source, d, point, M, N, rng)
 BSC01_B = 0.8 * math.log(9.0)
 
 
@@ -103,28 +112,34 @@ def covering_failure_oracle(N: int, M: int, D: float) -> float:
 # ----------------------------------------------------------------------
 
 def test_build_source_code_m_formula():
+    # derive sizes M once; the source code draws the M it is given.
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
+    point = rate_distortion(source, d, 0.2)
     for N, eps in ((8, 0.05), (12, 0.08), (16, 0.1)):
-        cb = build_source_code(source, d, rate_distortion(source, d, 0.2),
-                               eps, N, np.random.default_rng(0))
+        M = SchemeConfig.derive(N, eps, 0.3, point.R, math.log(2.0)).M
+        cb = build_source_code(source, d, point, M, N,
+                               np.random.default_rng(0))
         oracle = math.ceil(math.exp(N * (RD_HALF_02 + 2 * eps)))
-        assert cb.M == oracle
+        assert cb.M == M == oracle
         assert cb.reproductions.shape == (cb.M, N)
 
 
-def test_build_source_code_rejects_nonpositive_epsilon():
+def test_build_source_code_rejects_an_empty_code():
     source, d = Pmf([0.5, 0.5]), hamming_distortion(2)
     point = rate_distortion(source, d, 0.2)
-    with pytest.raises(ValueError):
-        build_source_code(source, d, point, 0.0, 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one reproduction"):
+        build_source_code(source, d, point, 0, 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one reproduction"):
+        SourceCodebook(N=8, M=0, reproductions=np.zeros((0, 8)), D=0.2, d=d)
 
 
-def test_build_source_code_guard_on_huge_m():
-    source, d = Pmf([0.5, 0.5]), hamming_distortion(2)
-    point = rate_distortion(source, d, 0.0)
-    with pytest.raises(ValueError, match="guard"):
-        build_source_code(source, d, point, 0.1, 64, np.random.default_rng(0))
+def test_scheme_config_guard_refuses_huge_m_before_exp():
+    # exp(N (R + 2 eps)) overflows a float past an exponent of about 710,
+    # here from N = 800 on; the guard refuses first, at every N.
+    for N in (64, 800, 3000):
+        with pytest.raises(ValueError, match="exceeds guard"):
+            SchemeConfig.derive(N, 0.1, 0.3, math.log(2.0), 2.0)
 
 
 @pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.1, 0.9]], ASYM],
@@ -143,8 +158,7 @@ def test_source_code_size_equals_scheme_message_count(rows, epsilon):
 def test_full_budget_covers_everything_at_index_one():
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
-    cb = build_source_code(source, d, rate_distortion(source, d, 1.0), 0.05,
-                           6, np.random.default_rng(1))
+    cb = canonical_code(source, d, 1.0, 0.05, 6, np.random.default_rng(1))
     words = enumerate_words(2, 6)
     for w in words:
         assert source_encode(cb, tuple(w)) == 1
@@ -167,8 +181,7 @@ def test_covering_failure_decays_with_n():
     rng = np.random.default_rng(42)
     rates = []
     for N in (8, 12, 16):
-        cb = build_source_code(source, d, rate_distortion(source, d, D), eps,
-                               N, rng)
+        cb = canonical_code(source, d, D, eps, N, rng)
         v = rng.integers(0, 2, size=(samples, N))
         dists = pairwise_distortion(d, v, cb.reproductions)
         uncovered = float((dists.min(axis=1) > D).mean())
@@ -219,8 +232,7 @@ def test_source_decode_range_checks():
 def test_source_roundtrip_within_budget_exhaustive_n8():
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
-    cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.08,
-                           8, np.random.default_rng(7))
+    cb = canonical_code(source, d, 0.2, 0.08, 8, np.random.default_rng(7))
     words = enumerate_words(2, 8)
     uncovered = 0
     for w in words:
@@ -239,8 +251,7 @@ def test_source_roundtrip_within_budget_exhaustive_n8():
 def test_source_encode_batch_matches_scalar():
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
-    cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.05,
-                           8, np.random.default_rng(3))
+    cb = canonical_code(source, d, 0.2, 0.05, 8, np.random.default_rng(3))
     rng = np.random.default_rng(4)
     batch = rng.integers(0, 2, size=(300, 8))
     got = source_encode_batch(cb, batch)
@@ -306,8 +317,7 @@ def test_source_encode_batch_stops_at_the_first_cover(monkeypatch):
     # computes a fraction of the n x M table.  The full table fails this.
     source = Pmf([0.5, 0.5])
     d = hamming_distortion(2)
-    cb = build_source_code(source, d, rate_distortion(source, d, 0.2), 0.08,
-                           20, np.random.default_rng(5))
+    cb = canonical_code(source, d, 0.2, 0.08, 20, np.random.default_rng(5))
     v = np.random.default_rng(6).integers(0, 2, size=(1024, 20))
     cells = record_cover_blocks(monkeypatch, cover_cells)
     idx = source_encode_batch(cb, v)
@@ -533,8 +543,9 @@ def test_codebooks_draw_through_the_shared_letter_sampler(probs):
     q = len(probs)
     point = RdPoint(D=0.5, R=0.01, test_channel=np.tile(pmf.probs, (q, 1)),
                     lagrange_slope=-1.0)
-    src = build_source_code(Pmf([1.0] * q), hamming_distortion(q), point,
-                            0.1, 9, rng)
+    M = math.ceil(math.exp(9 * (point.R + 2.0 * 0.1)))  # 7
+    src = build_source_code(Pmf([1.0] * q), hamming_distortion(q), point, M,
+                            9, rng)
     want = sample_pmf_batch(point.output_marginal(Pmf([1.0] * q)),
                             (src.M, 9), ref)
     assert np.array_equal(src.reproductions, want)
@@ -913,13 +924,35 @@ def test_scheme_config_boundary_failures():
         SchemeConfig.derive(1, eps, 0.3, R, C)
 
 
+def test_scheme_config_is_exactly_the_block():
+    cfg = SchemeConfig(gamma=0.5, delta_ctrl=0.3, M=37, msg_len=6,
+                       ctrl_len=2, master_seed=0)
+    assert [f.name for f in fields(SchemeConfig)] == [
+        "gamma", "delta_ctrl", "M", "msg_len", "ctrl_len", "master_seed"]
+    assert cfg.N == 8
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"msg_len": 0}, "message symbol"),
+    ({"ctrl_len": 0}, "control"),
+    ({"M": 0}, "below 1"),
+    ({"M": coding_scheme.MAX_MESSAGES + 1}, "exceeds guard"),
+], ids=["msg_len-0", "ctrl_len-0", "M-0", "M-past-guard"])
+def test_scheme_config_refuses_blocks_that_cannot_run(changes, message):
+    block = dict(gamma=0.5, delta_ctrl=0.3, M=4, msg_len=3, ctrl_len=2,
+                 master_seed=0)
+    SchemeConfig(**block)
+    with pytest.raises(ValueError, match=message):
+        SchemeConfig(**{**block, **changes})
+
+
 def test_scheme_config_rate_condition_holds_across_family():
     C = math.log(2.0)
     for N in (8, 12, 16, 24):
         for eps in (0.02, 0.05, 0.1):
             cfg = SchemeConfig.derive(N, eps, 0.3, RD_HALF_02, C)
-            assert (cfg.R_D + 2 * cfg.epsilon) / cfg.gamma < cfg.C
-            assert cfg.msg_len + cfg.ctrl_len == N
+            assert (RD_HALF_02 + 2 * eps) / cfg.gamma < C
+            assert cfg.msg_len + cfg.ctrl_len == cfg.N == N
 
 
 def test_scheme_config_message_guard():

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import zlib
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -178,6 +179,20 @@ def test_system_model_build_checks():
                           -0.1)
 
 
+def test_system_model_derives_channel_params_on_first_use():
+    assert [f.name for f in fields(SystemModel)] == ["P_V", "W", "d", "D"]
+    model = bsc_model()
+    assert model.params is model.params
+    assert model.params.C == channel_params(model.W).C
+    # A dead output column: the model builds, and its parameters refuse.
+    dead = SystemModel.build(Pmf([0.5, 0.5]),
+                             ChannelMatrix([[0.5, 0.5, 0.0],
+                                            [0.5, 0.5, 0.0]]),
+                             hamming_distortion(2), 0.2)
+    with pytest.raises(ValueError, match="lambda"):
+        dead.params
+
+
 def test_system_model_derive_config_matches_manual_derivation():
     from vlfjscc import rate_distortion
     model = bsc_model()
@@ -221,7 +236,7 @@ def _noiseless_report():
     lambda: build_source_code(Pmf([0.5, 0.5]), hamming_distortion(2),
                               rate_distortion(Pmf([0.5, 0.5]),
                                               hamming_distortion(2), 0.2),
-                              0.05, 6, np.random.default_rng(0)),
+                              6, 6, np.random.default_rng(0)),
     lambda: ChannelCodebook(M=2, length=3, codewords=np.zeros((2, 3))),
     lambda: build_control_code(channel_params(bsc(0.1)), 4, 0.3),
     lambda: Posterior.from_prior(Pmf([0.5, 0.5]), 3),
@@ -266,8 +281,7 @@ def test_run_session_uncoverable_word_hits_cap():
     # Noiseless channel, zero budget, reproductions that never cover the
     # all-zeros word: every block sends e and is heard as e, forever.
     d = hamming_distortion(2)
-    cfg = SchemeConfig(N=4, epsilon=0.1, gamma=0.5, delta_ctrl=0.5, M=2,
-                       msg_len=2, ctrl_len=2, R_D=0.0, C=math.log(2.0),
+    cfg = SchemeConfig(gamma=0.5, delta_ctrl=0.5, M=2, msg_len=2, ctrl_len=2,
                        master_seed=0)
     from vlfjscc import CodeSet
     params = channel_params(IDENTITY)
@@ -318,8 +332,7 @@ def test_run_session_confirms_a_word_covered_at_the_d_boundary():
                             reproductions=[(1,) * 9, BOUNDARY_VHAT],
                             D=BOUNDARY_RADIUS, d=BOUNDARY_D)
     assert source_encode(source, BOUNDARY_V) == 2
-    cfg = SchemeConfig(N=9, epsilon=0.1, gamma=0.6, delta_ctrl=0.5, M=2,
-                       msg_len=6, ctrl_len=3, R_D=0.0, C=math.log(3.0),
+    cfg = SchemeConfig(gamma=0.6, delta_ctrl=0.5, M=2, msg_len=6, ctrl_len=3,
                        master_seed=0)
     codes = CodeSet(source=source, control=build_control_code(params, 3, 0.5),
                     caid=params.caid)
@@ -343,8 +356,7 @@ def test_batch_engine_excess_is_the_encoders_cover_verdict():
     codes = CodeSet(source=source,
                     control=build_control_code(model.params, 2, 0.5),
                     caid=model.params.caid)
-    cfg = SchemeConfig(N=9, epsilon=0.1, gamma=0.7, delta_ctrl=0.5, M=1,
-                       msg_len=7, ctrl_len=2, R_D=0.0, C=model.params.C,
+    cfg = SchemeConfig(gamma=0.7, delta_ctrl=0.5, M=1, msg_len=7, ctrl_len=2,
                        master_seed=0)
     n = 2048
     _, excess = _simulate_chunk(
@@ -371,6 +383,58 @@ def test_run_session_pathwise_invariants():
         assert rec.tau % cfg.N == 0
         assert rec.tau == cfg.N * (rec.retransmissions + 1)
         assert rec.excess == (rec.realized_distortion > model.D)
+
+
+def test_directly_built_block_runs_the_message_count_it_names():
+    # M = 37 at N = 8 is no ceil(exp(8 (R(D) + 2 eps))) of any ready
+    # epsilon; both engines run it against a 37-word source code.
+    model = bsc_model()
+    cfg = SchemeConfig(gamma=0.75, delta_ctrl=0.3, M=37, msg_len=6,
+                       ctrl_len=2, master_seed=0)
+    assert cfg.N == 8
+    rep = monte_carlo(cfg, model, 500, RngSpec(3))
+    assert rep.N == 8 and rep.trials == 500
+    assert rep.etau_hat * (1.0 - rep.prt_hat) == pytest.approx(8.0,
+                                                               rel=1e-12)
+    rng = np.random.default_rng(3)
+    codes = build_codes(model, cfg, rng)
+    assert codes.source.reproductions.shape == (37, 8)
+    assert codes.control.length == 2
+    for _ in range(20):
+        rec = run_session(cfg, codes, model.W, model.P_V, rng)
+        assert rec.tau == 8 * (rec.retransmissions + 1)
+
+
+def test_replaced_phase_length_charges_the_new_block_length():
+    # N is msg_len + ctrl_len, so a shorter message phase is a shorter
+    # block: 7 channel uses are charged per block, not the derived 12.
+    model = bsc_model()
+    cfg = replace(model.derive_config(12, 0.08, 0.3), msg_len=6)
+    assert cfg.N == 6 + cfg.ctrl_len == 7
+    rep = monte_carlo(cfg, model, 2000, RngSpec(1))
+    assert rep.N == 7
+    assert rep.etau_hat * (1.0 - rep.prt_hat) == pytest.approx(7.0,
+                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda cfg: replace(cfg, M=3 * cfg.M), "M"),
+    (lambda cfg: replace(cfg, msg_len=cfg.msg_len + 4), "N"),
+    (lambda cfg: replace(cfg, msg_len=cfg.msg_len - 1,
+                         ctrl_len=cfg.ctrl_len + 1), "ctrl_len"),
+], ids=["M", "N", "ctrl_len"])
+def test_run_session_refuses_codes_built_for_another_block(change, named):
+    model = bsc_model()
+    cfg = model.derive_config(12, 0.08, 0.3)
+    rng = np.random.default_rng(8)
+    codes = build_codes(model, cfg, rng)
+    other = change(cfg)
+    with pytest.raises(ValueError, match="codes built for") as exc:
+        run_session(other, codes, model.W, model.P_V, rng)
+    built = {"M": cfg.M, "N": cfg.N, "ctrl_len": cfg.ctrl_len}[named]
+    wanted = getattr(other, named)
+    assert f"{named} = {built}" in str(exc.value)
+    assert f"{named} = {wanted}" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
