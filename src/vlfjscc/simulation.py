@@ -20,6 +20,13 @@ that law once per type and call (exact tie-preserving sums), draws the
 best competitor score from F**(M-1), and the first competitor attaining
 it from a truncated geometric, so exact ties still go to the lowest index.
 
+Given its source word, a session's blocks are i.i.d. (each draws a fresh
+channel code, fresh noise and fresh control letters), so its block count
+is a geometric draw and ``_sessions`` draws it in few wide steps: a live
+session that has run b blocks runs up to b more in one step, and stops at
+the first of them heard c.  This keeps the law of (tau, end distortion)
+of one block per step, not its values.
+
 Estimator conventions: prt_hat and pe_hat are pooled per-block
 frequencies over every transmitted block (retransmission rounds
 included).  They follow from tau and excess: a session hears e on every
@@ -187,12 +194,24 @@ def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
               session_cap: int, trial_offset: int):
     """tau and the stopping block's distortion of one session per row of v.
 
-    Each block, ``decide(msg, rng)`` draws the message phase of the live
-    sessions and returns their decoded messages.  The encoder sends c
-    where d(v, vhat) <= D, else e; the control letters are drawn next, and
-    a session stops at its first block decided c.  A session still live
-    after session_cap blocks raises, at row index + trial_offset.  Codes
-    built for another block than cfg are refused.
+    Every live session has run the same number b of blocks.  A step runs
+    k = min(max(1, b), len(v) // live, session_cap - b) more for each,
+    as rows ``np.repeat(alive, k)``: ``decide(msg, rng)`` draws their
+    message phase and returns the decoded messages, the encoder sends c
+    where d(v, vhat) <= D, else e, and the control letters are drawn
+    next.  A session stops at the first block of the step decided c, its
+    j-th: tau = (b + j) N, and the end distortion is that block's.  Its
+    later blocks are drawn and discarded.
+
+    Why the law is that of one block per step: given v, every row is a
+    fresh block, independent of the others, so the first stop among k
+    blocks, then k more if none stops, is the first stop of one long run.
+    A step holds at most len(v) rows, and discards fewer blocks per
+    session than it has already run; with one session k is always 1, so
+    ``run_session`` draws block by block.  No block past session_cap is
+    drawn: a session still live then raises, at its row index +
+    trial_offset (the lowest live row).  Codes built for another block
+    than cfg are refused.
     """
     if session_cap < 1:
         raise ValueError("session_cap must be >= 1")
@@ -207,21 +226,27 @@ def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     tau = np.zeros(len(v), dtype=np.int64)
     end_dist = np.zeros(len(v))
     alive = np.arange(len(v))
-    for block in range(1, session_cap + 1):
-        decoded = decide(msg[alive], rng)
-        dist = distortion(codes.source.d, v[alive],
+    done = 0
+    while len(alive):
+        if done == session_cap:
+            raise SessionCapExceeded(session_cap,
+                                     trial_index=trial_offset + int(alive[0]))
+        k = min(max(1, done), len(v) // len(alive), session_cap - done)
+        rows = np.repeat(alive, k)
+        decoded = decide(msg[rows], rng)
+        dist = distortion(codes.source.d, v[rows],
                           codes.source.reproductions[decoded - 1])
         sent = np.where((dist <= codes.source.D)[:, np.newaxis],
                         codes.control.x_c, codes.control.x_e)
-        stopped = control_decode_batch(codes.control,
-                                       sample_channel_batch(W, sent, rng))
-        tau[alive[stopped]] = block * cfg.N
-        end_dist[alive[stopped]] = dist[stopped]
+        heard_c = control_decode_batch(
+            codes.control, sample_channel_batch(W, sent, rng)).reshape(-1, k)
+        stopped = heard_c.any(axis=1)
+        first = heard_c[stopped].argmax(axis=1)
+        tau[alive[stopped]] = (done + first + 1) * cfg.N
+        end_dist[alive[stopped]] = dist.reshape(-1, k)[stopped, first]
         alive = alive[~stopped]
-        if len(alive) == 0:
-            return tau, end_dist
-    raise SessionCapExceeded(session_cap,
-                             trial_index=trial_offset + int(alive[0]))
+        done += k
+    return tau, end_dist
 
 
 @dataclass(frozen=True)
@@ -292,8 +317,9 @@ class _MessagePhase:
     index, as in ``coding_scheme.ml_channel_decode``.  ``monte_carlo``
     builds one per call.  The key of an output type (letter counts c_b)
     is its rank among all types, the sum over b < |Y| - 1 of
-    comb(c_0 + ... + c_b + b, b + 1); it picks the type's row of a padded
-    (values, G, a) table, filled when the type is first seen.
+    comb(c_0 + ... + c_b + b, b + 1); it picks the type's row, filled
+    when the type is first seen, of a padded G table and of per-row
+    offsets into flat (values, a) arrays.
     """
 
     def __init__(self, W: ChannelMatrix, caid: Pmf, L: int, M: int):
@@ -311,9 +337,11 @@ class _MessagePhase:
                                 for j in range(W.num_outputs - 1)]
                                for s in range(L + 1)], dtype=np.int64)
         # Each table row's key (row 0's, no type's, above every key), the
-        # order that sorts them, and the padded (values, G, a) table.
+        # order that sorts them, the padded G table, the row offsets
+        # (start[r + 1] ends row r) and the flat (values, a) arrays.
         self._types = (np.array([np.iinfo(np.int64).max]), np.zeros(1, int),
-                       np.full((3, 1, 1), np.inf))
+                       np.full((1, 1), np.inf), np.zeros(2, np.int64),
+                       np.empty((2, 0)))
 
     def _law(self, counts: tuple):
         """(values, G, a) of one competitor's score for an output type.
@@ -342,19 +370,28 @@ class _MessagePhase:
         """Give each new type, keyed by key with counts rows, a table row."""
         keys, first = np.unique(key, return_index=True)
         laws = [self._law(tuple(counts[i])) for i in first]
-        old_keys, _, table = self._types
+        old_keys, _, G, start, flat = self._types
         n, width = len(old_keys), max(len(v) for v, _, _ in laws)
-        if n + len(laws) > table.shape[1] or width > table.shape[2]:
+        if n + len(laws) >= len(start) or width > G.shape[1]:
             # Rows double; +inf pads G above every log u.
-            grown = np.full((3, max(n + len(laws), 2 * n),
-                             max(width, table.shape[2])), np.inf)
-            grown[:, :n, :table.shape[2]] = table[:, :n]
-            table = grown
-        for row, law in enumerate(laws, start=n):
-            table[:, row, :len(law[0])] = law
+            rows = max(n + len(laws), 2 * n)
+            grown = np.full((rows, max(width, G.shape[1])), np.inf)
+            grown[:n, :G.shape[1]] = G[:n]
+            G = grown
+            start = np.append(start[:n + 1], np.zeros(rows - n, np.int64))
+        end = int(start[n]) + sum(len(v) for v, _, _ in laws)
+        if end > flat.shape[1]:
+            # The flat arrays double too.
+            grown = np.empty((2, max(end, 2 * flat.shape[1])))
+            grown[:, :start[n]] = flat[:, :start[n]]
+            flat = grown
+        for row, (vals, g, a) in enumerate(laws, start=n):
+            G[row, :len(g)] = g
+            start[row + 1] = start[row] + len(vals)
+            flat[:, start[row]:start[row + 1]] = vals, a
         keys = np.concatenate([old_keys, keys])
         # One assignment, so an interrupted build leaves the old index.
-        self._types = (keys, np.argsort(keys), table)
+        self._types = (keys, np.argsort(keys), G, start, flat)
 
     def _lookup(self, y: np.ndarray, log_u: np.ndarray):
         """(values, a) of each row's type law at searchsorted(G, log_u), the
@@ -364,14 +401,14 @@ class _MessagePhase:
                              minlength=n * k).reshape(n, k)
         key = self._rank[counts[:, :-1].cumsum(axis=1),
                          np.arange(k - 1)].sum(axis=1)
-        keys, order, _ = self._types
+        keys, order = self._types[:2]
         new = keys[order[np.searchsorted(keys, key, sorter=order)]] != key
         if new.any():
             self._add_types(key[new], counts[new])
-        keys, order, table = self._types
+        keys, order, G, start, flat = self._types
         slot = order[np.searchsorted(keys, key, sorter=order)]
-        j = (table[1, slot] < log_u).sum(axis=1)
-        return table[0::2, slot, j]
+        j = (G[slot] < log_u).sum(axis=1)
+        return flat[:, start[slot] + j]
 
     def decide(self, msg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """ML-decoded messages (1-based) for sent messages ``msg``.
@@ -468,6 +505,7 @@ def monte_carlo(cfg: SchemeConfig, model: SystemModel, trials: int,
 
     Chunks of CHUNK_TRIALS sessions, each on its own stream, run through
     ``_sessions`` with ``_MessagePhase`` deciding the message phase.
+    The reported gamma is msg_len / N, the split of the block that ran.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -506,7 +544,7 @@ def monte_carlo(cfg: SchemeConfig, model: SystemModel, trials: int,
         lower = True
         exponent_ci = math.inf
     block_counts = np.bincount(tau // cfg.N)
-    return EstimateReport(N=cfg.N, gamma=cfg.gamma, trials=trials,
+    return EstimateReport(N=cfg.N, gamma=cfg.msg_len / cfg.N, trials=trials,
                           pd_hat=pd_hat, pd_lo=pd_lo, pd_hi=pd_hi,
                           etau_hat=etau_hat, etau_ci=etau_ci,
                           prt_hat=prt_hat, pe_hat=pe_hat,

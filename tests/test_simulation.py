@@ -29,6 +29,7 @@ from vlfjscc import (
     CodeSet,
     ControlCode,
     DistortionMatrix,
+    EstimateReport,
     Pmf,
     Posterior,
     SchemeConfig,
@@ -58,6 +59,7 @@ from vlfjscc import (
 from vlfjscc.simulation import (
     _MessagePhase,
     _encode_label,
+    _sessions,
     _simulate_chunk,
     sample_channel_batch,
     sample_pmf_batch,
@@ -693,6 +695,135 @@ def test_monte_carlo_on_a_channel_with_eight_outputs():
     assert cfg.msg_len == 15
     rep = monte_carlo(cfg, model, 200, RngSpec(2))
     assert rep.trials == 200 and rep.etau_hat >= cfg.N
+
+
+def test_report_gamma_is_the_split_that_ran():
+    # The canonical gamma of N = 12 is 0.979; a block replaced to a 6/7
+    # split reports 6/7.
+    model = bsc_model()
+    cfg = model.derive_config(12, 0.08, 0.3)
+    assert monte_carlo(cfg, model, 50, RngSpec(1)).gamma == cfg.msg_len / 12
+    rep = monte_carlo(replace(cfg, msg_len=6), model, 50, RngSpec(1))
+    assert rep.gamma == 6 / 7
+
+
+def test_monte_carlo_on_one_model_equals_fresh_models():
+    model = bsc_model()
+    short, long = (model.derive_config(N, 0.08, 0.3) for N in (8, 12))
+    for cfg, seed in ((short, 1), (long, 2), (short, 3)):
+        kept = monte_carlo(cfg, model, 600, RngSpec(seed))
+        fresh = monte_carlo(cfg, bsc_model(), 600, RngSpec(seed))
+        for f in fields(EstimateReport):
+            assert np.array_equal(getattr(kept, f.name),
+                                  getattr(fresh, f.name)), f.name
+
+
+def test_type_laws_are_stored_unpadded():
+    # Only G is padded (by +inf); a type's values and a fill exactly its
+    # slice start[row]:start[row + 1] of the flat arrays.
+    W = ChannelMatrix([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+    phase = _MessagePhase(W, Pmf([0.5, 0.5]), 6, 50)
+    y = np.random.default_rng(5).integers(0, 3, size=(300, 6))
+    for lo in range(0, 300, 7):
+        phase._lookup(y[lo:lo + 7], np.full((len(y[lo:lo + 7]), 1), -1.0))
+    keys, _, G, start, flat = phase._types
+    laws = {tuple(np.bincount(row, minlength=3)): None for row in y}
+    assert len(keys) == len(laws) + 1
+    for counts in laws:
+        vals, g, a = phase._law(counts)
+        key = phase._rank[np.cumsum(counts[:-1]), np.arange(2)].sum()
+        row = int(np.flatnonzero(keys == key)[0])
+        assert np.array_equal(G[row, :len(g)], g)
+        assert np.all(G[row, len(g):] == np.inf)
+        assert start[row + 1] - start[row] == len(vals)
+        assert np.array_equal(flat[0, start[row]:start[row + 1]], vals)
+        assert np.array_equal(flat[1, start[row]:start[row + 1]], a)
+    assert start[len(keys)] == sum(len(phase._law(c)[0]) for c in laws)
+
+
+# ----------------------------------------------------------------------
+# Wide session steps
+# ----------------------------------------------------------------------
+
+def _fixed_word_block(W: ChannelMatrix, D: float, ctrl_len: int,
+                      delta: float):
+    """A block whose every source word is all zeros and every reproduction
+    all ones, so a word is covered exactly when D >= 1; its message phase
+    is noiseless."""
+    params = channel_params(W)
+    N = 4 + ctrl_len
+    cfg = SchemeConfig(gamma=4 / N, delta_ctrl=delta, M=2, msg_len=4,
+                       ctrl_len=ctrl_len, master_seed=0)
+    source = SourceCodebook(N=N, M=2,
+                            reproductions=np.ones((2, N), dtype=np.int8),
+                            D=D, d=hamming_distortion(2))
+    codes = CodeSet(source=source,
+                    control=build_control_code(params, ctrl_len, delta),
+                    caid=params.caid)
+    return cfg, codes
+
+
+@pytest.mark.parametrize("D, ctrl_len, stop", [
+    (1.0, 4, lambda: 1.0 - exact_p_ce(4)),
+    (0.0, 1, lambda: exact_p_ec(1)),
+], ids=["always-covered", "never-covered"])
+def test_wide_steps_keep_the_geometric_stop_law(D, ctrl_len, stop):
+    # Every session sends the same control word every block, so its block
+    # count is exactly Geometric(P(c|c)) or Geometric(P(c|e)).
+    p, n = stop(), 20_000
+    cfg, codes = _fixed_word_block(bsc(0.1), D, ctrl_len, 0.3)
+    v = np.zeros((n, cfg.N), dtype=np.int8)
+    tau, end_dist = _sessions(cfg, codes, bsc(0.1), v,
+                              lambda msg, rng: msg,
+                              np.random.default_rng(9), session_cap=10_000,
+                              trial_offset=0)
+    assert np.all(tau % cfg.N == 0) and np.all(end_dist == 1.0)
+    blocks = tau // cfg.N
+    sd = math.sqrt(1.0 - p) / p
+    assert abs(blocks.mean() - 1.0 / p) <= 5.0 * sd / math.sqrt(n)
+    gof = geometric_gof(np.bincount(blocks), 1.0 - p)
+    assert gof.df >= 3 and gof.pvalue > 1e-6, gof
+
+
+def _counting_decide(calls):
+    def decide(msg, rng):
+        calls.append(len(msg))
+        return msg
+    return decide
+
+
+def test_wide_steps_stop_at_the_session_cap():
+    # The never-stopping setup of test_run_session_uncoverable_word_hits_cap
+    # on 64 rows: every session runs exactly session_cap blocks.
+    cfg, codes = _fixed_word_block(IDENTITY, 0.0, 2, 0.5)
+    calls = []
+    with pytest.raises(SessionCapExceeded) as exc:
+        _sessions(cfg, codes, IDENTITY, np.zeros((64, 6), dtype=np.int8),
+                  _counting_decide(calls), np.random.default_rng(6),
+                  session_cap=7, trial_offset=0)
+    assert exc.value.cap == 7 and exc.value.trial_index == 0
+    assert calls == [64] * 7
+
+
+def test_few_live_sessions_take_wide_steps_up_to_the_cap():
+    # 56 covered words stop at their first block; the 8 uncovered ones
+    # then run 1, 2 and (clamped by the cap) 3 blocks per step, never more
+    # rows than words.
+    cfg, codes = _fixed_word_block(IDENTITY, 0.0, 2, 0.5)
+    v = np.ones((64, 6), dtype=np.int8)
+    v[3:11] = 0
+    calls = []
+    with pytest.raises(SessionCapExceeded) as exc:
+        _sessions(cfg, codes, IDENTITY, v, _counting_decide(calls),
+                  np.random.default_rng(6), session_cap=7, trial_offset=100)
+    assert exc.value.cap == 7 and exc.value.trial_index == 103
+    assert "7 blocks" in str(exc.value)
+    assert calls == [64, 8, 16, 24]
+    calls.clear()
+    tau, _ = _sessions(cfg, codes, IDENTITY, v[11:], _counting_decide(calls),
+                       np.random.default_rng(6), session_cap=7,
+                       trial_offset=0)
+    assert calls == [53] and np.all(tau == cfg.N)
 
 
 # ----------------------------------------------------------------------
