@@ -2,7 +2,8 @@
 
 Distributions, channel matrices, information measures (all in nats), the
 channel parameter triple (B, lambda, C), letter sampling, word
-distortion, and distortion balls over word alphabets.
+distortion, distortion balls over word alphabets, and the score laws of
+output types, a batch at a time (``score_laws``).
 
 One rule each: a letter inverts the CDF (last entry exactly 1) at one
 uniform, as ``Generator.choice(p=)`` does; a word distortion sums the
@@ -30,6 +31,12 @@ ZERO_CLIP = 1e-15
 
 # Hard ceiling for explicit word enumeration (|V| ** N).
 MAX_BALL_WORDS = 2 ** 24
+
+# Cells of a vectorized chunk's widest arrays: the trials x |Y| counts of
+# a draw of control-block types, or the padded pair sums or law entries of
+# a chunk of score laws, about eight arrays of them (4 MiB).  Wider
+# score-law chunks raise the peak memory of many-output channels.
+CHUNK_CELLS = 1 << 16
 
 
 def _as_clipped(probs: np.ndarray) -> np.ndarray:
@@ -329,3 +336,152 @@ def distortion_ball(d: DistortionMatrix, v, D: float) -> np.ndarray:
     words = enumerate_words(d.alphabet_size, np.size(v))
     dist = pairwise_distortion(d, np.asarray(v)[np.newaxis], words)[0]
     return words[dist <= D]
+
+
+# ----------------------------------------------------------------------
+# Score laws of output types
+# ----------------------------------------------------------------------
+
+def _merge(left, right):
+    """Row-wise law of the sum of two independent finite-support scores.
+
+    Each operand is (values, probs, start, length): its row r is the slice
+    start[r]:start[r] + length[r] of the flat values and probs.  Row r's
+    sums are laid out in ravel order (left index major), stably sorted,
+    and equal sums merged by one ``bincount``, so each merged mass adds
+    its terms in ravel order, as ``np.unique`` and ``bincount`` do for one
+    row.  With tie-exact terms equal sums are bit-equal; -inf absorbs.
+    The result's rows are compact.
+    """
+    lv, lp, ls, ln = left
+    rv, rp, rs, rn = right
+    n = (ln * rn)[:, np.newaxis]
+    k = np.arange(n.max())
+    # Past its own sums a row repeats its last one with no mass: an exact
+    # 0 added to that sum's bin, after its terms.
+    i, j = np.divmod(np.minimum(k, n - 1), rn[:, np.newaxis])
+    i += ls[:, np.newaxis]
+    j += rs[:, np.newaxis]
+    sums = lv[i] + rv[j]
+    order = np.argsort(sums, axis=1, kind="stable")
+    order += len(k) * np.arange(len(n))[:, np.newaxis]
+    sums = sums.ravel()[order]
+    terms = np.where(k < n, lp[i] * rp[j], 0.0).ravel()[order]
+    new = np.ones(sums.shape, dtype=bool)
+    new[:, 1:] = sums[:, 1:] != sums[:, :-1]
+    length = new.sum(axis=1)
+    return (sums[new], np.bincount(np.cumsum(new) - 1, weights=terms.ravel()),
+            np.cumsum(length) - length, length)
+
+
+def _powers(scores: np.ndarray, probs: np.ndarray, n: int):
+    """P_b[m] for every letter b and m <= n, as one merge operand store.
+
+    Letter b's single-position score takes scores[x, b] with probability
+    probs[x], entries as given (a value may repeat); P_b[0] is 0 and
+    P_b[m] = _merge(P_b[m - 1], letter b), with the raw letter, not P_b[1].
+    Returns (values, probs, start, length), start and length (|Y|, n + 1).
+
+    The merge's exact case, without a sort: a letter whose entries take at
+    most two finite values u_lo <= u_hi.  With tie-exact terms P_b[m - 1]
+    holds the sums (m - 1 - k) u_lo + k u_hi, k < m, so term (k', x) lands
+    in bin k' + [scores[x, b] = u_hi > u_lo], and in ravel order bin k
+    adds first the u_hi entries of k' = k - 1, then the u_lo entries of
+    k' = k, each in entry order.  The loop adds them in that order, as
+    rows of terms: high rows, then low rows, padded with zero weights (an
+    exact 0 added changes no sum).  Other letters (a third value, or
+    -inf) take ``_merge``, one call per m for all of them.
+    """
+    n_out = scores.shape[1]
+    low, high = scores.min(axis=0), scores.max(axis=0)
+    is_high = (scores == high) & (high > low)
+    two = np.isfinite(low) & (is_high | (scores == low)).all(axis=0)
+    exact, other = np.flatnonzero(two), np.flatnonzero(~two)
+    start = np.empty((n_out, n + 1), dtype=np.int64)
+    length = np.empty((n_out, n + 1), dtype=np.int64)
+    m = np.arange(n + 1)
+    # table[m, e, k + 1] is P_b[m] at k high entries, b = exact[e]; the
+    # zero column 0 lets a high entry read P_b[m - 1] at k - 1.  Entry x
+    # weighs row r of side s: its rank r among the high (s = 0) or low
+    # (s = 1) entries of its letter; window[m, e, s, r] is table[m, e, s:].
+    high_x, size = is_high[:, exact], len(exact)
+    rows = max(high_x.sum(axis=0).max(initial=1),
+               (~high_x).sum(axis=0).max(initial=1))
+    weight = np.zeros((size, 2, rows, 1))
+    weight[np.arange(size), (~high_x).astype(int),
+           np.where(high_x, np.cumsum(high_x, axis=0),
+                    np.cumsum(~high_x, axis=0)) - 1, 0] = probs[:, np.newaxis]
+    table = np.zeros((n + 1, size, n + 2))
+    table[0, :, 1] = 1.0
+    step = table.strides[-1]
+    window = np.ndarray((n + 1, size, 2, rows, n + 1), buffer=table,
+                        strides=table.strides[:2] + (step, 0, step))
+    for k in range(1, n + 1):
+        terms = window[k - 1, ..., :k + 1] * weight
+        terms = terms.reshape(size, 2 * rows, k + 1)
+        row = table[k, :, 1:k + 2]
+        np.add(terms[:, 0], terms[:, 1], out=row)
+        for t in range(2, 2 * rows):
+            row += terms[:, t]
+    values = (m * high[exact, np.newaxis]
+              + (m[:, np.newaxis, np.newaxis] - m) * low[exact, np.newaxis])
+    values[0] = 0.0
+    start[exact] = (m * size + np.arange(size)[:, np.newaxis]) * (n + 1)
+    length[exact] = np.where((high > low)[exact, np.newaxis], m + 1, 1)
+    parts = [(values.ravel(), table[:, :, 1:].ravel())]
+    if len(other):
+        n_in = scores.shape[0]
+        letter = (scores[:, other].T.ravel(), np.tile(probs, len(other)),
+                  n_in * np.arange(len(other)), np.full(len(other), n_in))
+        law = (np.zeros(len(other)), np.ones(len(other)),
+               np.arange(len(other)), np.ones(len(other), dtype=np.int64))
+        offset = values.size
+        for k in range(n + 1):
+            if k:
+                law = _merge(law, letter)
+            parts.append(law[:2])
+            start[other, k] = offset + law[2]
+            length[other, k] = law[3]
+            offset += len(law[0])
+    values, probs = (np.concatenate(part) for part in zip(*parts))
+    return values, probs, start, length
+
+
+def score_laws(scores: np.ndarray, probs: np.ndarray, counts: np.ndarray):
+    """The law of a type's score for every output type, all in one pass.
+
+    Against output letter b, one position scores scores[x, b] with
+    probability probs[x]; an output type's score sums counts[t, b]
+    independent positions per letter b.  Scores must be tie-exact (every
+    sum of up to max(counts.sum(axis=1)) of them an exact float64, as
+    ``coding_scheme._tie_exact_log`` makes them), so equal sums are
+    bit-equal; -inf (a zero channel entry) absorbs.
+
+    Returns flat (values, probs, start): row t's law is the slice
+    start[t]:start[t + 1], values ascending.  Row t is, bit for bit, the
+    per-type fold P_0[c_0] * P_1[c_1] * ... of the powers of ``_powers``,
+    each * a ``_merge``, so a type's law does not depend on the batch
+    that builds it.  The powers are built once; the folds go in chunks
+    of rows that hold at most CHUNK_CELLS pair sums each merge (one row
+    at least).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    values, masses, start, length = _powers(scores, probs,
+                                            int(counts.max()))
+    # A row's merges hold at most the product of its powers' lengths.
+    bound = np.prod(length[np.arange(counts.shape[1]), counts], axis=1,
+                    dtype=float)
+    step = max(1, int(CHUNK_CELLS // bound.max()))
+    parts = []
+    for lo in range(0, len(counts), step):
+        rows = counts[lo:lo + step]
+        laws = (values, masses, start[0, rows[:, 0]], length[0, rows[:, 0]])
+        for b in range(1, counts.shape[1]):
+            laws = _merge(laws, (values, masses, start[b, rows[:, b]],
+                                 length[b, rows[:, b]]))
+        lv, lp, ls, ln = laws
+        end = np.cumsum(ln)
+        take = np.repeat(ls - end + ln, ln) + np.arange(end[-1])
+        parts.append((lv[take], lp[take], ln))
+    lv, lp, ln = (np.concatenate(part) for part in zip(*parts))
+    return lv, lp, np.concatenate([[0], np.cumsum(ln)])

@@ -15,10 +15,12 @@ codebook every block and ML-decodes it.  ``monte_carlo`` draws each
 block's ML decision in law at a cost that does not grow with M, for
 every DMC: it draws only the true codeword and its channel output y.
 Given y, the M - 1 competitor scores are i.i.d. with a finite-support
-law that depends on y only through its output type; the kernel builds
-that law once per type and call (exact tie-preserving sums), draws the
-best competitor score from F**(M-1), and the first competitor attaining
-it from a truncated geometric, so exact ties still go to the lowest index.
+law that depends on y only through its output type.  A call builds the
+laws of the types a step meets for the first time all at once, with
+``probability.score_laws`` (exact tie-preserving sums, each law bit for
+bit as a type-by-type build would give it), draws the best competitor
+score from F**(M-1), and the first competitor attaining it from a
+truncated geometric, so exact ties still go to the lowest index.
 
 Given its source word, a session's blocks are i.i.d. (each draws a fresh
 channel code, fresh noise and fresh control letters), so its block count
@@ -60,6 +62,7 @@ from .coding_scheme import (
 )
 from .numerics import RdPoint, rate_distortion, reliability_from_parts
 from .probability import (
+    CHUNK_CELLS,
     ChannelMatrix,
     ChannelParams,
     DistortionMatrix,
@@ -68,25 +71,36 @@ from .probability import (
     distortion,
     sample_channel_batch,
     sample_pmf_batch,
+    score_laws,
 )
 
 DEFAULT_SESSION_CAP = 10_000
 CHUNK_TRIALS = 2048
-# Count cells (trials x |Y|) per multinomial draw of control-block types.
-CONTROL_CHUNK_CELLS = 1 << 23
 _Z95 = 1.959963984540054
 GOF_MIN_EXPECTED = 5.0
 
 
 class SessionCapExceeded(RuntimeError):
-    """A session exceeded the block cap (retransmission prob near 1)."""
+    """A session exceeded the block cap.
 
-    def __init__(self, cap: int, trial_index: int):
-        super().__init__(
-            f"trial {trial_index} still retransmitting after {cap} blocks; "
-            "the configuration looks pathological (P_RT close to 1)")
+    ``covered`` says whether its source word is covered by its
+    reproduction (d <= D).  A covered word sends c, so the cap points at
+    a retransmission probability near 1; an uncovered one sends e every
+    block and stops only when e is heard as c.
+    """
+
+    def __init__(self, cap: int, trial_index: int, covered: bool = True):
+        why = ("its source word is covered by its reproduction (d <= D); "
+               "the configuration looks pathological (P_RT close to 1)"
+               if covered else
+               "its source word is not covered by its reproduction "
+               "(d > D), so it sends e every block and stops only when e "
+               "is heard as c")
+        super().__init__(f"trial {trial_index} still retransmitting after "
+                         f"{cap} blocks; {why}")
         self.cap = cap
         self.trial_index = trial_index
+        self.covered = covered
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +224,8 @@ def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     session than it has already run; with one session k is always 1, so
     ``run_session`` draws block by block.  No block past session_cap is
     drawn: a session still live then raises, at its row index +
-    trial_offset (the lowest live row).  Codes built for another block
-    than cfg are refused.
+    trial_offset (the lowest live row), saying whether its word is
+    covered.  Codes built for another block than cfg are refused.
     """
     if session_cap < 1:
         raise ValueError("session_cap must be >= 1")
@@ -229,8 +243,13 @@ def _sessions(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
     done = 0
     while len(alive):
         if done == session_cap:
+            row = alive[:1]
+            covered = distortion(
+                codes.source.d, v[row],
+                codes.source.reproductions[msg[row] - 1]) <= codes.source.D
             raise SessionCapExceeded(session_cap,
-                                     trial_index=trial_offset + int(alive[0]))
+                                     trial_index=trial_offset + int(row[0]),
+                                     covered=bool(covered[0]))
         k = min(max(1, done), len(v) // len(alive), session_cap - done)
         rows = np.repeat(alive, k)
         decoded = decide(msg[rows], rng)
@@ -297,19 +316,6 @@ def run_session(cfg: SchemeConfig, codes: CodeSet, W: ChannelMatrix,
 # Vectorized batch engine
 # ----------------------------------------------------------------------
 
-def _convolve(va: np.ndarray, pa: np.ndarray, vb: np.ndarray,
-              pb: np.ndarray):
-    """Law of the sum of two independent finite-support scores.
-
-    Equal sums are merged; with tie-exact terms every sum is exact, so
-    equal scores stay bit-equal.  -inf (a zero channel entry) absorbs.
-    """
-    vals, inv = np.unique((va[:, np.newaxis] + vb).ravel(),
-                          return_inverse=True)
-    return vals, np.bincount(inv.ravel(),
-                             weights=(pa[:, np.newaxis] * pb).ravel())
-
-
 class _MessagePhase:
     """ML decisions of fresh random codebooks, drawn in law.
 
@@ -317,21 +323,18 @@ class _MessagePhase:
     index, as in ``coding_scheme.ml_channel_decode``.  ``monte_carlo``
     builds one per call.  The key of an output type (letter counts c_b)
     is its rank among all types, the sum over b < |Y| - 1 of
-    comb(c_0 + ... + c_b + b, b + 1); it picks the type's row, filled
-    when the type is first seen, of a padded G table and of per-row
-    offsets into flat (values, a) arrays.
+    comb(c_0 + ... + c_b + b, b + 1); it picks the type's row of a
+    padded G table and of per-row offsets into flat (values, a) arrays.
+    The rows of the types one lookup meets first are filled together:
+    one ``score_laws`` call gives their laws, and ``_fill`` derives G
+    and a on padded rows.  Nothing is kept from one call to the next.
     """
 
     def __init__(self, W: ChannelMatrix, caid: Pmf, L: int, M: int):
         self.W, self.caid, self.L, self.M = W, caid, L, M
         self.logw = _tie_exact_log(W, L)
         live = caid.probs > 0
-        self._letters = [(self.logw[live, b], caid.probs[live])
-                         for b in range(W.num_outputs)]
-        # _powers[b][k]: law of a k-position score against output letter b,
-        # shared by every output type.
-        self._powers = [[(np.zeros(1), np.ones(1))]
-                        for _ in range(W.num_outputs)]
+        self._letters = (self.logw[live], caid.probs[live])
         # comb(s + j, j + 1) < the count of types: int64 refuses >2**63.
         self._rank = np.array([[math.comb(s + j, j + 1)
                                 for j in range(W.num_outputs - 1)]
@@ -343,52 +346,69 @@ class _MessagePhase:
                        np.full((1, 1), np.inf), np.zeros(2, np.int64),
                        np.empty((2, 0)))
 
-    def _law(self, counts: tuple):
-        """(values, G, a) of one competitor's score for an output type.
+    def _fill(self, probs: np.ndarray, start: np.ndarray, G: np.ndarray,
+              a: np.ndarray) -> None:
+        """G and a of the laws that ``probability.score_laws`` gives.
 
-        Over the ascending support, G = (M - 1) log F(value) is the log
-        CDF of the best competitor, and a = log(1 - q), where q =
-        P(S = value) / F(value) is the chance that a competitor scoring
-        at most value scores exactly value.
+        Law t holds probs[start[t]:start[t + 1]] over its ascending
+        support.  There G = (M - 1) log F(value) is the log CDF of the best
+        competitor, written to row t of G (its entries past the law are
+        left as they are), and a = log(1 - q), where q = P(S = value) /
+        F(value) is the chance that a competitor scoring at most value
+        scores exactly value, written to a, flat like probs.  The masses
+        go on padded rows, zeros past each law, which leaves every
+        cumulative sum, log and running maximum of a law's own entries as
+        they are; rows go CHUNK_CELLS // width at a time.
         """
-        vals, probs = np.zeros(1), np.ones(1)
-        for b, n_b in enumerate(counts):
-            powers = self._powers[b]
-            while len(powers) <= n_b:
-                powers.append(_convolve(*powers[-1], *self._letters[b]))
-            vals, probs = _convolve(vals, probs, *powers[n_b])
-        cum = np.cumsum(probs)
-        above = np.append(np.cumsum(probs[::-1])[-2::-1], 0.0)
-        with np.errstate(divide="ignore"):
-            log_f = np.where(cum < 0.5, np.log(cum),
-                             np.log1p(-np.minimum(above, 1.0)))
-            log_f = np.maximum.accumulate(log_f)
-            q = np.minimum(probs / np.exp(log_f), 1.0)
-            return vals, (self.M - 1) * log_f, np.log1p(-q)
+        length = np.diff(start)
+        width = int(length.max())
+        step = max(1, CHUNK_CELLS // width)
+        for lo in range(0, len(length), step):
+            rows = slice(lo, lo + step)
+            span = slice(start[lo], start[min(lo + step, len(length))])
+            valid = np.arange(width) < length[rows, np.newaxis]
+            mass = np.zeros(valid.shape)
+            mass[valid] = probs[span]
+            cum = np.cumsum(mass, axis=1)
+            above = np.zeros(valid.shape)
+            above[:, :-1] = np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]
+            with np.errstate(divide="ignore"):
+                log_f = np.where(cum < 0.5, np.log(cum),
+                                 np.log1p(-np.minimum(above, 1.0)))
+                log_f = np.maximum.accumulate(log_f, axis=1)
+                q = np.minimum(mass / np.exp(log_f), 1.0)
+                G[rows, :width][valid] = (self.M - 1) * log_f[valid]
+                a[span] = np.log1p(-q[valid])
+
+    def _law(self, counts: tuple):
+        """(values, G, a) of one output type's law: a batch of one."""
+        values, probs, start = score_laws(*self._letters, np.array([counts]))
+        G, a = np.full((1, len(values)), np.inf), np.empty(len(values))
+        self._fill(probs, start, G, a)
+        return values, G[0], a
 
     def _add_types(self, key: np.ndarray, counts: np.ndarray) -> None:
         """Give each new type, keyed by key with counts rows, a table row."""
         keys, first = np.unique(key, return_index=True)
-        laws = [self._law(tuple(counts[i])) for i in first]
+        values, probs, bounds = score_laws(*self._letters, counts[first])
         old_keys, _, G, start, flat = self._types
-        n, width = len(old_keys), max(len(v) for v, _, _ in laws)
-        if n + len(laws) >= len(start) or width > G.shape[1]:
+        n, width = len(old_keys), int(np.diff(bounds).max())
+        if n + len(keys) >= len(start) or width > G.shape[1]:
             # Rows double; +inf pads G above every log u.
-            rows = max(n + len(laws), 2 * n)
+            rows = max(n + len(keys), 2 * n)
             grown = np.full((rows, max(width, G.shape[1])), np.inf)
             grown[:n, :G.shape[1]] = G[:n]
             G = grown
             start = np.append(start[:n + 1], np.zeros(rows - n, np.int64))
-        end = int(start[n]) + sum(len(v) for v, _, _ in laws)
+        end = int(start[n]) + len(values)
         if end > flat.shape[1]:
             # The flat arrays double too.
             grown = np.empty((2, max(end, 2 * flat.shape[1])))
             grown[:, :start[n]] = flat[:, :start[n]]
             flat = grown
-        for row, (vals, g, a) in enumerate(laws, start=n):
-            G[row, :len(g)] = g
-            start[row + 1] = start[row] + len(vals)
-            flat[:, start[row]:start[row + 1]] = vals, a
+        start[n + 1:n + len(keys) + 1] = start[n] + bounds[1:]
+        flat[0, start[n]:end] = values
+        self._fill(probs, bounds, G[n:n + len(keys)], flat[1, start[n]:end])
         keys = np.concatenate([old_keys, keys])
         # One assignment, so an interrupted build leaves the old index.
         self._types = (keys, np.argsort(keys), G, start, flat)
@@ -675,12 +695,12 @@ def _crossover_probability(model: SystemModel, ctrl: ControlCode,
     The decision depends on a block only through its output type, which
     under the repeated input x is Multinomial(m, W(.|x)).  So each trial
     draws one type, not m letters, and ``control_accepts`` decides it:
-    O(|Y|) work per trial, whatever m.  Rows are drawn CONTROL_CHUNK_CELLS
+    O(|Y|) work per trial, whatever m.  Rows are drawn CHUNK_CELLS
     count cells at a time; the counts do not depend on the chunking.
     """
     wrong = 0
     probs = model.W.matrix[int((ctrl.x_c if send_c else ctrl.x_e)[0])]
-    chunk = max(1, CONTROL_CHUNK_CELLS // len(probs))
+    chunk = max(1, CHUNK_CELLS // len(probs))
     for lo in range(0, trials, chunk):
         counts = rng.multinomial(ctrl.length, probs,
                                  size=min(chunk, trials - lo))

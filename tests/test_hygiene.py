@@ -7,7 +7,8 @@ dead imports out of ``src/vlfjscc``.  A name bound by a module-level
 so both are skipped.  ``scipy``, which only the goodness-of-fit test
 needs, loads on first use, so ``import vlfjscc`` stays fast; the ball
 masses of the converse decoder use no ``numpy.fft``, so a tail
-evaluation loads neither.
+evaluation loads neither.  Nor does a small ``monte_carlo`` call: its
+output-type score laws are plain numpy sorts and sums.
 """
 
 import ast
@@ -50,6 +51,25 @@ def test_import_loads_neither_numpy_fft_nor_scipy():
              "post = vlfjscc.Posterior(2, 6, numpy.arange(64) / 2016); "
              "vlfjscc.min_tail_mass(post, vlfjscc.hamming_distortion(2), "
              "0.2); "
+             "print(sorted(m for m in ('numpy.fft', 'scipy') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_small_monte_carlo_loads_neither_numpy_fft_nor_scipy():
+    """64 sessions on BSC(0.1) and on a channel with zero entries, whose
+    score laws take both the sort-free and the sorting merge."""
+    probe = ("import sys, vlfjscc; "
+             "channels = ([[0.9, 0.1], [0.1, 0.9]], "
+             "[[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]]); "
+             "models = [vlfjscc.SystemModel.build(vlfjscc.Pmf([0.5, 0.5]), "
+             "vlfjscc.ChannelMatrix(W), vlfjscc.hamming_distortion(2), 0.2) "
+             "for W in channels]; "
+             "[vlfjscc.monte_carlo(m.derive_config(8, 0.08, 0.3), m, 64, "
+             "vlfjscc.RngSpec(1)) for m in models]; "
              "print(sorted(m for m in ('numpy.fft', 'scipy') "
              "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

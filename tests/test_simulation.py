@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -56,6 +57,7 @@ from vlfjscc import (
     source_encode,
     wilson_interval,
 )
+from vlfjscc.probability import CHUNK_CELLS, score_laws
 from vlfjscc.simulation import (
     _MessagePhase,
     _encode_label,
@@ -300,6 +302,10 @@ def test_run_session_uncoverable_word_hits_cap():
     assert exc.value.cap == 5
     assert exc.value.trial_index == 0
     assert "5 blocks" in str(exc.value)
+    assert not exc.value.covered
+    assert "not covered by its reproduction (d > D)" in str(exc.value)
+    assert "sends e every block" in str(exc.value)
+    assert "P_RT" not in str(exc.value)
 
 
 @pytest.mark.parametrize("word", [(-1,) * 8, (0, 2) * 4,
@@ -718,6 +724,164 @@ def test_monte_carlo_on_one_model_equals_fresh_models():
                                   getattr(fresh, f.name)), f.name
 
 
+EIGHT_OUTPUTS = ChannelMatrix([[0.4, 0.3, 0.15, 0.1, 0.02, 0.01, 0.01, 0.01],
+                              [0.01, 0.01, 0.01, 0.02, 0.1, 0.15, 0.3, 0.4]])
+# Every output letter's score takes three values.
+THREE_VALUED = ChannelMatrix([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3],
+                              [0.3, 0.2, 0.5]])
+# Every output letter's score takes -inf and a finite value twice, so its
+# powers take the sorting merge, where a repeated value sets the order in
+# which a mass adds its terms.
+REPEATED_WITH_ZEROS = ChannelMatrix([[0.7, 0.3, 0.0], [0.7, 0.0, 0.3],
+                                     [0.0, 0.3, 0.7]])
+LAW_CHANNELS = KERNEL_CHANNELS + [
+    (EIGHT_OUTPUTS, [0.5, 0.5]),
+    (EIGHT_OUTPUTS, [0.55, 0.45]),
+    (THREE_VALUED, [1 / 3, 1 / 3, 1 / 3]),
+    (REPEATED_WITH_ZEROS, [0.3, 0.3, 0.4]),
+]
+LAW_IDS = ["bsc", "asymmetric", "ternary", "zero-entry", "eight-outputs",
+           "eight-outputs-skewed", "three-valued", "repeated-with-zeros"]
+
+
+def _convolve(va, pa, vb, pb):
+    """Law of the sum of two independent finite-support scores: equal sums
+    merged by ``np.unique``, their masses added by ``bincount``."""
+    vals, inv = np.unique((va[:, np.newaxis] + vb).ravel(),
+                          return_inverse=True)
+    return vals, np.bincount(inv.ravel(),
+                             weights=(pa[:, np.newaxis] * pb).ravel())
+
+
+def _reference_laws(phase):
+    """(values, G, a) of one type, built the per-type way: P_b[n] =
+    P_b[n - 1] * letter b, then 0 * P_0[c_0] * P_1[c_1] * ..., each * a
+    ``_convolve``."""
+    live = phase.caid.probs > 0
+    powers = [[(np.zeros(1), np.ones(1))]
+              for _ in range(phase.W.num_outputs)]
+
+    def law(counts):
+        vals, probs = np.zeros(1), np.ones(1)
+        for b, n_b in enumerate(counts):
+            while len(powers[b]) <= n_b:
+                powers[b].append(_convolve(*powers[b][-1],
+                                           phase.logw[live, b],
+                                           phase.caid.probs[live]))
+            vals, probs = _convolve(vals, probs, *powers[b][n_b])
+        cum = np.cumsum(probs)
+        above = np.append(np.cumsum(probs[::-1])[-2::-1], 0.0)
+        with np.errstate(divide="ignore"):
+            log_f = np.where(cum < 0.5, np.log(cum),
+                             np.log1p(-np.minimum(above, 1.0)))
+            log_f = np.maximum.accumulate(log_f)
+            q = np.minimum(probs / np.exp(log_f), 1.0)
+            return vals, (phase.M - 1) * log_f, np.log1p(-q)
+    return law
+
+
+def _looked_up(phase, batch):
+    """Look the types of batch up (new ones are built together), then
+    read each one's (values, G, a) back from the tables."""
+    n_out = phase.W.num_outputs
+    words = [np.repeat(np.arange(n_out), c) for c in batch]
+    phase._lookup(np.array(words), np.zeros((len(batch), 1)))
+    keys, _, G, start, flat = phase._types
+    laws = []
+    for c in batch:
+        key = phase._rank[np.cumsum(c[:-1]), np.arange(n_out - 1)].sum()
+        row = int(np.flatnonzero(keys == key)[0])
+        span = slice(start[row], start[row + 1])
+        width = start[row + 1] - start[row]
+        assert np.all(G[row, width:] == np.inf)
+        laws.append((flat[0, span], G[row, :width], flat[1, span]))
+    return laws
+
+
+def _assert_same_laws(got, want):
+    for g, w in zip(got, want):
+        for g_part, w_part in zip(g, w):
+            assert g_part.shape == w_part.shape
+            assert np.array_equal(g_part, w_part)
+
+
+@pytest.mark.parametrize("W, caid", LAW_CHANNELS, ids=LAW_IDS)
+def test_batched_laws_equal_the_per_type_build_bit_for_bit(W, caid):
+    # Every type at L <= 6, built alone, in shuffled batches of three and
+    # all at once: each time bit-equal to the per-type build.
+    rng = np.random.default_rng(8)
+    n_out = W.num_outputs
+    for L in range(1, 7):
+        types = [c for c in itertools.product(range(L + 1), repeat=n_out)
+                 if sum(c) == L]
+        rng.shuffle(types)
+        phases = [_MessagePhase(W, Pmf(caid), L, 1000) for _ in range(3)]
+        reference = _reference_laws(phases[0])
+        want = [reference(c) for c in types]
+        _assert_same_laws([phases[0]._law(c) for c in types], want)
+        for lo in range(0, len(types), 3):
+            _assert_same_laws(_looked_up(phases[1], types[lo:lo + 3]),
+                              want[lo:lo + 3])
+        _assert_same_laws(_looked_up(phases[2], types), want)
+
+
+@pytest.mark.parametrize("W, caid", LAW_CHANNELS, ids=LAW_IDS)
+def test_batched_laws_at_a_long_block(W, caid):
+    # 200 sampled output words at L = 19: their types built in one batch,
+    # and alone, bit-equal to the per-type build.
+    n_out, L = W.num_outputs, 19
+    y = np.random.default_rng(9).integers(0, n_out, size=(200, L))
+    types = list({tuple(np.bincount(row, minlength=n_out)) for row in y})
+    phase = _MessagePhase(W, Pmf(caid), L, 1000)
+    reference = _reference_laws(phase)
+    want = [reference(c) for c in types]
+    _assert_same_laws(_looked_up(phase, types), want)
+    _assert_same_laws([phase._law(c) for c in types], want)
+
+
+def test_zero_channel_entries_absorb_into_one_value():
+    # Output letter 1 scores -inf under input 0: one -inf entry holds the
+    # mass of every sum that meets it, P(x = 0 somewhere on letter 1).
+    phase = _MessagePhase(ChannelMatrix([[1.0, 0.0], [0.3, 0.7]]),
+                          Pmf([0.6, 0.4]), 5, 100)
+    for c1 in range(6):
+        vals, _, _ = phase._law((5 - c1, c1))
+        probs = score_laws(*phase._letters, np.array([(5 - c1, c1)]))[1]
+        assert np.isfinite(vals[1:]).all()
+        if c1:
+            assert vals[0] == -np.inf
+            assert probs[0] == pytest.approx(1.0 - 0.4 ** c1, rel=1e-12)
+        else:
+            assert np.isfinite(vals[0])
+
+
+def test_a_large_batch_of_laws_keeps_to_the_cell_budget():
+    # 1458 types of the eight-output channel at L = 15, up to 4374 pair
+    # sums each: one padded array of the whole batch would take the budget
+    # five times over.  Beyond its laws (held twice: by chunk, then
+    # joined) the kernel's working set stays within about eight arrays of
+    # CHUNK_CELLS cells, and so does the pass that fills G and a.
+    phase = _MessagePhase(EIGHT_OUTPUTS, Pmf([0.5, 0.5]), 15, 1000)
+    y = np.random.default_rng(10).integers(0, 8, size=(1500, 15))
+    counts = np.unique([np.bincount(row, minlength=8) for row in y], axis=0)
+    budget = 12 * 8 * CHUNK_CELLS
+    assert len(counts) * np.prod(counts + 1, axis=1).max() * 8 > 5 * budget
+    tracemalloc.start()
+    try:
+        values, probs, start = score_laws(*phase._letters, counts)
+        after, peak = tracemalloc.get_traced_memory()
+        assert peak - after <= values.nbytes + probs.nbytes + budget
+        G = np.full((len(counts), np.diff(start).max()), np.inf)
+        a = np.empty(len(values))
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        phase._fill(probs, start, G, a)
+        assert tracemalloc.get_traced_memory()[1] - before <= budget
+    finally:
+        tracemalloc.stop()
+    assert (G[:, 0] < np.inf).all()
+
+
 def test_type_laws_are_stored_unpadded():
     # Only G is padded (by +inf); a type's values and a fill exactly its
     # slice start[row]:start[row + 1] of the flat arrays.
@@ -803,6 +967,24 @@ def test_wide_steps_stop_at_the_session_cap():
                   session_cap=7, trial_offset=0)
     assert exc.value.cap == 7 and exc.value.trial_index == 0
     assert calls == [64] * 7
+
+
+def test_session_cap_on_a_covered_word_blames_the_control_phase():
+    # Every word is covered (D = 1) and sends c, but a threshold of +inf
+    # never accepts: the refusal names P_RT, not the word.
+    cfg, codes = _fixed_word_block(bsc(0.1), 1.0, 2, 0.3)
+    codes = replace(codes, control=replace(codes.control,
+                                           llr_threshold=math.inf))
+    with pytest.raises(SessionCapExceeded) as exc:
+        _sessions(cfg, codes, bsc(0.1), np.zeros((8, cfg.N), dtype=np.int8),
+                  lambda msg, rng: msg, np.random.default_rng(6),
+                  session_cap=5, trial_offset=40)
+    assert exc.value.cap == 5 and exc.value.trial_index == 40
+    assert exc.value.covered
+    assert str(exc.value) == (
+        "trial 40 still retransmitting after 5 blocks; its source word is "
+        "covered by its reproduction (d <= D); the configuration looks "
+        "pathological (P_RT close to 1)")
 
 
 def test_few_live_sessions_take_wide_steps_up_to_the_cap():
@@ -1112,7 +1294,7 @@ def test_control_type_draws_do_not_depend_on_the_chunk(monkeypatch):
                               hamming_distortion(2), 0.2)
     whole = control_phase_exponent(model, [4, 6, 8], 2000, 1.0, RngSpec(6))
     # Three rows of three letters per draw; 2000 is no multiple of three.
-    monkeypatch.setattr(vlfjscc.simulation, "CONTROL_CHUNK_CELLS", 9)
+    monkeypatch.setattr(vlfjscc.simulation, "CHUNK_CELLS", 9)
     chunked = control_phase_exponent(model, [4, 6, 8], 2000, 1.0,
                                      RngSpec(6))
     assert chunked == whole
