@@ -380,17 +380,18 @@ def _powers(scores: np.ndarray, probs: np.ndarray, n: int):
     Letter b's single-position score takes scores[x, b] with probability
     probs[x], entries as given (a value may repeat); P_b[0] is 0 and
     P_b[m] = _merge(P_b[m - 1], letter b), with the raw letter, not P_b[1].
-    Returns (values, probs, start, length), start and length (|Y|, n + 1).
+    Returns (values, probs, start, length), start and length (|Y|, n + 1),
+    the operand ``score_laws`` folds.
 
     The merge's exact case, without a sort: a letter whose entries take at
     most two finite values u_lo <= u_hi.  With tie-exact terms P_b[m - 1]
     holds the sums (m - 1 - k) u_lo + k u_hi, k < m, so term (k', x) lands
     in bin k' + [scores[x, b] = u_hi > u_lo], and in ravel order bin k
     adds first the u_hi entries of k' = k - 1, then the u_lo entries of
-    k' = k, each in entry order.  The loop adds them in that order, as
-    rows of terms: high rows, then low rows, padded with zero weights (an
-    exact 0 added changes no sum).  Other letters (a third value, or
-    -inf) take ``_merge``, one call per m for all of them.
+    k' = k, each in entry order.  The loop adds one term per entry to
+    every bin in that order: high entries first, then low ones.  Other
+    letters (a third value, or -inf) take ``_merge``, one call per m for
+    all of them.
     """
     n_out = scores.shape[1]
     low, high = scores.min(axis=0), scores.max(axis=0)
@@ -401,28 +402,21 @@ def _powers(scores: np.ndarray, probs: np.ndarray, n: int):
     length = np.empty((n_out, n + 1), dtype=np.int64)
     m = np.arange(n + 1)
     # table[m, e, k + 1] is P_b[m] at k high entries, b = exact[e]; the
-    # zero column 0 lets a high entry read P_b[m - 1] at k - 1.  Entry x
-    # weighs row r of side s: its rank r among the high (s = 0) or low
-    # (s = 1) entries of its letter; window[m, e, s, r] is table[m, e, s:].
-    high_x, size = is_high[:, exact], len(exact)
-    rows = max(high_x.sum(axis=0).max(initial=1),
-               (~high_x).sum(axis=0).max(initial=1))
-    weight = np.zeros((size, 2, rows, 1))
-    weight[np.arange(size), (~high_x).astype(int),
-           np.where(high_x, np.cumsum(high_x, axis=0),
-                    np.cumsum(~high_x, axis=0)) - 1, 0] = probs[:, np.newaxis]
+    # zero column 0 lets a high entry read P_b[m - 1] at k - 1.  Each
+    # letter's entries go high first, then low, each in entry order.
+    order = np.argsort(~is_high[:, exact], axis=0, kind="stable")
+    high_x = np.take_along_axis(is_high[:, exact], order, axis=0)[..., None]
+    weight = probs[order][..., None]
+    size = len(exact)
     table = np.zeros((n + 1, size, n + 2))
     table[0, :, 1] = 1.0
-    step = table.strides[-1]
-    window = np.ndarray((n + 1, size, 2, rows, n + 1), buffer=table,
-                        strides=table.strides[:2] + (step, 0, step))
     for k in range(1, n + 1):
-        terms = window[k - 1, ..., :k + 1] * weight
-        terms = terms.reshape(size, 2 * rows, k + 1)
-        row = table[k, :, 1:k + 2]
-        np.add(terms[:, 0], terms[:, 1], out=row)
-        for t in range(2, 2 * rows):
-            row += terms[:, t]
+        prev = table[k - 1]
+        terms = np.where(high_x, prev[:, :-1], prev[:, 1:]) * weight
+        row = table[k, :, 1:]
+        row[...] = terms[0]
+        for term in terms[1:]:
+            row += term
     values = (m * high[exact, np.newaxis]
               + (m[:, np.newaxis, np.newaxis] - m) * low[exact, np.newaxis])
     values[0] = 0.0
@@ -447,27 +441,29 @@ def _powers(scores: np.ndarray, probs: np.ndarray, n: int):
     return values, probs, start, length
 
 
-def score_laws(scores: np.ndarray, probs: np.ndarray, counts: np.ndarray):
+def score_laws(powers: tuple, counts: np.ndarray):
     """The law of a type's score for every output type, all in one pass.
 
     Against output letter b, one position scores scores[x, b] with
     probability probs[x]; an output type's score sums counts[t, b]
-    independent positions per letter b.  Scores must be tie-exact (every
-    sum of up to max(counts.sum(axis=1)) of them an exact float64, as
+    independent positions per letter b.  powers is ``_powers(scores,
+    probs, n)`` for some n >= counts.max(), built once and folded by
+    every call.  Scores must be tie-exact (every sum of up to
+    max(counts.sum(axis=1)) of them an exact float64, as
     ``coding_scheme._tie_exact_log`` makes them), so equal sums are
-    bit-equal; -inf (a zero channel entry) absorbs.
+    bit-equal; -inf (a zero channel entry) absorbs.  There are at least
+    two output letters (``channel_params`` refuses a channel with one),
+    so every fold ends in a ``_merge``, whose rows are compact.
 
     Returns flat (values, probs, start): row t's law is the slice
     start[t]:start[t + 1], values ascending.  Row t is, bit for bit, the
-    per-type fold P_0[c_0] * P_1[c_1] * ... of the powers of ``_powers``,
-    each * a ``_merge``, so a type's law does not depend on the batch
-    that builds it.  The powers are built once; the folds go in chunks
-    of rows that hold at most CHUNK_CELLS pair sums each merge (one row
-    at least).
+    per-type fold P_0[c_0] * P_1[c_1] * ... of the powers, each * a
+    ``_merge``, so a type's law does not depend on the batch that builds
+    it.  The folds go in chunks of rows that hold at most CHUNK_CELLS
+    pair sums each merge (one row at least).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    values, masses, start, length = _powers(scores, probs,
-                                            int(counts.max()))
+    values, masses, start, length = powers
     # A row's merges hold at most the product of its powers' lengths.
     bound = np.prod(length[np.arange(counts.shape[1]), counts], axis=1,
                     dtype=float)
@@ -479,9 +475,7 @@ def score_laws(scores: np.ndarray, probs: np.ndarray, counts: np.ndarray):
         for b in range(1, counts.shape[1]):
             laws = _merge(laws, (values, masses, start[b, rows[:, b]],
                                  length[b, rows[:, b]]))
-        lv, lp, ls, ln = laws
-        end = np.cumsum(ln)
-        take = np.repeat(ls - end + ln, ln) + np.arange(end[-1])
-        parts.append((lv[take], lp[take], ln))
+        lv, lp, _, ln = laws
+        parts.append((lv, lp, ln))
     lv, lp, ln = (np.concatenate(part) for part in zip(*parts))
     return lv, lp, np.concatenate([[0], np.cumsum(ln)])

@@ -67,6 +67,7 @@ from .probability import (
     ChannelParams,
     DistortionMatrix,
     Pmf,
+    _powers,
     channel_params,
     distortion,
     sample_channel_batch,
@@ -325,16 +326,18 @@ class _MessagePhase:
     is its rank among all types, the sum over b < |Y| - 1 of
     comb(c_0 + ... + c_b + b, b + 1); it picks the type's row of a
     padded G table and of per-row offsets into flat (values, a) arrays.
-    The rows of the types one lookup meets first are filled together:
-    one ``score_laws`` call gives their laws, and ``_fill`` derives G
-    and a on padded rows.  Nothing is kept from one call to the next.
+    Each output letter's powers P_b[m], m <= L, are built once, at
+    construction (``probability._powers``).  The rows of the types one
+    lookup meets first are filled together: one ``score_laws`` call
+    folds their laws from those powers, and ``_fill`` derives G and a on
+    padded rows.  Nothing is kept from one call to the next.
     """
 
     def __init__(self, W: ChannelMatrix, caid: Pmf, L: int, M: int):
         self.W, self.caid, self.L, self.M = W, caid, L, M
         self.logw = _tie_exact_log(W, L)
         live = caid.probs > 0
-        self._letters = (self.logw[live], caid.probs[live])
+        self._powers = _powers(self.logw[live], caid.probs[live], L)
         # comb(s + j, j + 1) < the count of types: int64 refuses >2**63.
         self._rank = np.array([[math.comb(s + j, j + 1)
                                 for j in range(W.num_outputs - 1)]
@@ -380,17 +383,10 @@ class _MessagePhase:
                 G[rows, :width][valid] = (self.M - 1) * log_f[valid]
                 a[span] = np.log1p(-q[valid])
 
-    def _law(self, counts: tuple):
-        """(values, G, a) of one output type's law: a batch of one."""
-        values, probs, start = score_laws(*self._letters, np.array([counts]))
-        G, a = np.full((1, len(values)), np.inf), np.empty(len(values))
-        self._fill(probs, start, G, a)
-        return values, G[0], a
-
     def _add_types(self, key: np.ndarray, counts: np.ndarray) -> None:
         """Give each new type, keyed by key with counts rows, a table row."""
         keys, first = np.unique(key, return_index=True)
-        values, probs, bounds = score_laws(*self._letters, counts[first])
+        values, probs, bounds = score_laws(self._powers, counts[first])
         old_keys, _, G, start, flat = self._types
         n, width = len(old_keys), int(np.diff(bounds).max())
         if n + len(keys) >= len(start) or width > G.shape[1]:

@@ -636,6 +636,14 @@ KERNEL_CHANNELS = [
 ]
 
 
+def _law(phase, counts):
+    """(values, G, a) of one output type's law: a batch of one."""
+    values, probs, start = score_laws(phase._powers, np.array([counts]))
+    G, a = np.full((1, len(values)), np.inf), np.empty(len(values))
+    phase._fill(probs, start, G, a)
+    return values, G[0], a
+
+
 @pytest.mark.parametrize("W, caid", KERNEL_CHANNELS,
                          ids=["bsc", "asymmetric", "ternary", "zero-entry"])
 @pytest.mark.parametrize("M", [4, 1000])
@@ -654,7 +662,7 @@ def test_type_key_lookup_is_the_searchsorted_index(W, caid, M):
         for batch in batches:
             ys, log_u, want_vals, want_a = [], [], [], []
             for counts in batch:
-                vals, G, a = phase._law(counts)
+                vals, G, a = _law(phase, counts)
                 at = np.concatenate([G, np.nextafter(G, -np.inf),
                                      np.nextafter(G, np.inf), [0.0]])
                 at = at[(at <= 0.0) & np.isfinite(at)]
@@ -688,7 +696,7 @@ def test_type_keys_of_a_channel_with_many_outputs(n_out, L):
     assert len(keys) == len(set(counts))
     assert 0 <= keys.min() and keys.max() < math.comb(L + n_out - 1, L)
     for row, c in enumerate(counts):
-        vals, G, a = phase._law(c)
+        vals, G, a = _law(phase, c)
         j = np.searchsorted(G, log_u[row, 0])
         assert got_vals[row] == vals[j] and got_a[row] == a[j]
 
@@ -734,14 +742,26 @@ THREE_VALUED = ChannelMatrix([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3],
 # which a mass adds its terms.
 REPEATED_WITH_ZEROS = ChannelMatrix([[0.7, 0.3, 0.0], [0.7, 0.0, 0.3],
                                      [0.0, 0.3, 0.7]])
+# Output letter 0 scores its higher value on two entries and letter 2
+# its lower one, so the sort-free power step adds two terms of one side
+# to a bin, in entry order; letter 1 scores one value.
+TWO_HIGH_ENTRIES = ChannelMatrix([[0.7, 0.2, 0.1], [0.7, 0.2, 0.1],
+                                  [0.1, 0.2, 0.7]])
+# Four inputs, two of each row: each output letter's two values sit on
+# two entries each.
+REPEATED_ROWS = ChannelMatrix([[0.6, 0.4], [0.6, 0.4], [0.3, 0.7],
+                               [0.3, 0.7]])
 LAW_CHANNELS = KERNEL_CHANNELS + [
     (EIGHT_OUTPUTS, [0.5, 0.5]),
     (EIGHT_OUTPUTS, [0.55, 0.45]),
     (THREE_VALUED, [1 / 3, 1 / 3, 1 / 3]),
     (REPEATED_WITH_ZEROS, [0.3, 0.3, 0.4]),
+    (TWO_HIGH_ENTRIES, [0.2, 0.3, 0.5]),
+    (REPEATED_ROWS, [0.1, 0.2, 0.3, 0.4]),
 ]
 LAW_IDS = ["bsc", "asymmetric", "ternary", "zero-entry", "eight-outputs",
-           "eight-outputs-skewed", "three-valued", "repeated-with-zeros"]
+           "eight-outputs-skewed", "three-valued", "repeated-with-zeros",
+           "two-high-entries", "repeated-rows"]
 
 
 def _convolve(va, pa, vb, pb):
@@ -818,7 +838,7 @@ def test_batched_laws_equal_the_per_type_build_bit_for_bit(W, caid):
         phases = [_MessagePhase(W, Pmf(caid), L, 1000) for _ in range(3)]
         reference = _reference_laws(phases[0])
         want = [reference(c) for c in types]
-        _assert_same_laws([phases[0]._law(c) for c in types], want)
+        _assert_same_laws([_law(phases[0], c) for c in types], want)
         for lo in range(0, len(types), 3):
             _assert_same_laws(_looked_up(phases[1], types[lo:lo + 3]),
                               want[lo:lo + 3])
@@ -836,7 +856,7 @@ def test_batched_laws_at_a_long_block(W, caid):
     reference = _reference_laws(phase)
     want = [reference(c) for c in types]
     _assert_same_laws(_looked_up(phase, types), want)
-    _assert_same_laws([phase._law(c) for c in types], want)
+    _assert_same_laws([_law(phase, c) for c in types], want)
 
 
 def test_zero_channel_entries_absorb_into_one_value():
@@ -845,8 +865,8 @@ def test_zero_channel_entries_absorb_into_one_value():
     phase = _MessagePhase(ChannelMatrix([[1.0, 0.0], [0.3, 0.7]]),
                           Pmf([0.6, 0.4]), 5, 100)
     for c1 in range(6):
-        vals, _, _ = phase._law((5 - c1, c1))
-        probs = score_laws(*phase._letters, np.array([(5 - c1, c1)]))[1]
+        vals, _, _ = _law(phase, (5 - c1, c1))
+        probs = score_laws(phase._powers, np.array([(5 - c1, c1)]))[1]
         assert np.isfinite(vals[1:]).all()
         if c1:
             assert vals[0] == -np.inf
@@ -868,7 +888,7 @@ def test_a_large_batch_of_laws_keeps_to_the_cell_budget():
     assert len(counts) * np.prod(counts + 1, axis=1).max() * 8 > 5 * budget
     tracemalloc.start()
     try:
-        values, probs, start = score_laws(*phase._letters, counts)
+        values, probs, start = score_laws(phase._powers, counts)
         after, peak = tracemalloc.get_traced_memory()
         assert peak - after <= values.nbytes + probs.nbytes + budget
         G = np.full((len(counts), np.diff(start).max()), np.inf)
@@ -880,6 +900,26 @@ def test_a_large_batch_of_laws_keeps_to_the_cell_budget():
     finally:
         tracemalloc.stop()
     assert (G[:, 0] < np.inf).all()
+
+
+def test_monte_carlo_builds_the_powers_once(monkeypatch):
+    # Every batch of new types folds its laws from the powers the call
+    # built at the start, whatever the number of batches.
+    calls = {"_powers": 0, "score_laws": 0}
+
+    def counted(name, inner):
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        return call
+    for name in calls:
+        monkeypatch.setattr(vlfjscc.simulation, name,
+                            counted(name, getattr(vlfjscc.simulation, name)))
+    model = SystemModel.build(Pmf([0.5, 0.5]), EIGHT_OUTPUTS,
+                              hamming_distortion(2), 0.2)
+    monte_carlo(model.derive_config(16, 0.1, 0.3), model, 200, RngSpec(2))
+    assert calls["score_laws"] >= 2, calls
+    assert calls["_powers"] == 1, calls
 
 
 def test_type_laws_are_stored_unpadded():
@@ -894,7 +934,7 @@ def test_type_laws_are_stored_unpadded():
     laws = {tuple(np.bincount(row, minlength=3)): None for row in y}
     assert len(keys) == len(laws) + 1
     for counts in laws:
-        vals, g, a = phase._law(counts)
+        vals, g, a = _law(phase, counts)
         key = phase._rank[np.cumsum(counts[:-1]), np.arange(2)].sum()
         row = int(np.flatnonzero(keys == key)[0])
         assert np.array_equal(G[row, :len(g)], g)
@@ -902,7 +942,7 @@ def test_type_laws_are_stored_unpadded():
         assert start[row + 1] - start[row] == len(vals)
         assert np.array_equal(flat[0, start[row]:start[row + 1]], vals)
         assert np.array_equal(flat[1, start[row]:start[row + 1]], a)
-    assert start[len(keys)] == sum(len(phase._law(c)[0]) for c in laws)
+    assert start[len(keys)] == sum(len(_law(phase, c)[0]) for c in laws)
 
 
 # ----------------------------------------------------------------------
